@@ -13,7 +13,6 @@ from .asymptotics import (
     leading_order,
     local_sdp_integral,
     quadratic_coeffs,
-    truncated_phase,
     validity_threshold,
 )
 from .errors import (
@@ -40,28 +39,22 @@ from .harness import (
 from .oracle import (
     OracleResult,
     QuadratureConfig,
-    evanescent_integral,
     oracle_eval,
-    propagating_integral,
 )
 from .spectra import (
     SpectrumFunction,
     builtin_spectrum,
     constant,
-    evaluate,
     gaussian,
     parse_spectrum,
     weyl,
 )
 from .spectral import (
-    ComplexWaveVector,
     ObservationPoint,
     SaddleData,
     kz_branch,
     local_half_width,
-    phase_U,
     saddle_point,
-    sdp_map,
 )
 
 __version__ = "0.1.0"
@@ -71,7 +64,6 @@ __all__ = [
     "AsymptoticResult",
     "BranchContinuationError",
     "ComparisonRecord",
-    "ComplexWaveVector",
     "ConfigError",
     "ConvergenceError",
     "DivergenceError",
@@ -89,8 +81,6 @@ __all__ = [
     "builtin_spectrum",
     "constant",
     "emit",
-    "evaluate",
-    "evanescent_integral",
     "fit_convergence_slope",
     "gaussian",
     "gaussian_closed_form",
@@ -100,15 +90,11 @@ __all__ = [
     "local_sdp_integral",
     "oracle_eval",
     "parse_spectrum",
-    "phase_U",
     "point_from_parameters",
-    "propagating_integral",
     "quadratic_coeffs",
     "read_csv_records",
     "run_sweep",
     "saddle_point",
-    "sdp_map",
-    "truncated_phase",
     "validity_map",
     "validity_threshold",
     "weyl",

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, DomainError
+from .errors import ConfigError, ConvergenceError, DomainError, require_positive
+from .oracle import _leggauss
 from .spectra import SpectrumFunction
 from .spectral import (
     ObservationPoint,
@@ -42,7 +43,6 @@ __all__ = [
     "QuadraticForm",
     "AsymptoticResult",
     "quadratic_coeffs",
-    "truncated_phase",
     "gaussian_closed_form",
     "leading_order",
     "local_sdp_integral",
@@ -100,18 +100,6 @@ def quadratic_coeffs(p: ObservationPoint) -> QuadraticForm:
     )
 
 
-def truncated_phase(q: QuadraticForm, xi: float, eta: float) -> complex:
-    """Second-order phase model ``i*(a*xi^2 + b*eta^2 - 2*c*xi*eta)``.
-
-    Purely imaginary for real inputs.  Note the conventional minus sign on
-    the cross term: the exact on-path phase expands with the opposite
-    orientation, ``+2*c*xi*eta``, but the two models share the determinant
-    ``a*b - c^2``, which is the only combination the closed-form Gaussian
-    value depends on.
-    """
-    return 1j * (q.a * xi * xi + q.b * eta * eta - 2.0 * q.c * xi * eta)
-
-
 def gaussian_closed_form(q: QuadraticForm, k0r: float) -> float:
     """Closed form of the full-plane Gaussian integral
     ``integral exp[-k0r*(a*xi^2 + b*eta^2 - 2*c*xi*eta)] dxi deta``.
@@ -121,8 +109,7 @@ def gaussian_closed_form(q: QuadraticForm, k0r: float) -> float:
     determinant identity simplifies to ``pi / (k0r * theta)``.  Real and
     positive; fails for det <= 0 (grazing observation, theta = 0).
     """
-    if k0r <= 0.0:
-        raise ConfigError(f"k0r must be positive, got {k0r}")
+    require_positive("k0r", k0r)
     det = q.det
     if det <= 0.0:
         raise DomainError(
@@ -134,9 +121,7 @@ def gaussian_closed_form(q: QuadraticForm, k0r: float) -> float:
 
 def validity_threshold(k0: float, r: float) -> float:
     """Minimum direction cosine ``theta0 = (k0*r)**-0.5``."""
-    if k0 <= 0.0 or r <= 0.0:
-        raise ConfigError(f"k0 and r must be positive, got k0={k0}, r={r}")
-    return 1.0 / math.sqrt(k0 * r)
+    return 1.0 / math.sqrt(require_positive("k0", k0) * require_positive("r", r))
 
 
 def leading_order(
@@ -191,11 +176,10 @@ def local_sdp_integral(
     s = saddle_point(p, k0)
     if half_width is None:
         half_width = local_half_width(s.k0r)
-    if half_width <= 0.0:
-        raise ConfigError(f"half_width must be positive, got {half_width}")
+    require_positive("half_width", half_width)
 
     def quadrature(nodes: int) -> complex:
-        t, w = np.polynomial.legendre.leggauss(nodes)
+        t, w = _leggauss(nodes)
         xi = half_width * t
         wi = half_width * w
         u, kx, ky, kz = _phase_grid(s, p, xi[:, None], xi[None, :])

@@ -9,10 +9,8 @@ diagnostics go to stderr.  Exit codes: 0 success, 2 usage/configuration,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -23,6 +21,7 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     DomainError,
+    InsufficientDataError,
     SpectrumEvaluationError,
     SpectrumParseError,
 )
@@ -36,10 +35,6 @@ EXIT_DOMAIN = 3
 EXIT_NONCONVERGED = 4
 
 WEYL_EXACT_CUTOFF = 1e-10  # all rel_error below this: report slope as "exact"
-
-
-def _g17(value: float) -> str:
-    return format(value, ".17g")
 
 
 def _parse_point(text: str) -> ObservationPoint:
@@ -78,39 +73,27 @@ def _resolve_spectrum(args: argparse.Namespace) -> SpectrumFunction:
     return parse_spectrum(args.spectrum_expr)
 
 
-def _emit_mapping(pairs: list[tuple[str, str]], fmt: str, destination: str) -> None:
+def _emit_row(row: dict[str, object], fmt: str, destination: str) -> None:
     """Single-record output: one JSON object, or a CSV header plus row."""
-    if fmt == "obj":
-        text = "{" + ", ".join(f'"{k}": {v}' for k, v in pairs) + "}\n"
-    else:
-        text = (
-            ",".join(k for k, _ in pairs)
-            + "\n"
-            + ",".join(v for _, v in pairs)
-            + "\n"
-        )
-    if destination == "-":
-        sys.stdout.write(text)
-    else:
-        Path(destination).write_text(text, encoding="utf-8")
+    harness.write(harness.serialize(tuple(row), [row], fmt), destination)
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     f = _resolve_spectrum(args)
     p = _parse_point(args.point)
     result = leading_order(f, p, args.k0)
-    pairs = [
-        ("value_re", _g17(result.value.real)),
-        ("value_im", _g17(result.value.imag)),
-        ("k0r", _g17(result.k0r)),
-        ("theta", _g17(result.theta)),
-        ("theta0", _g17(result.theta0)),
-        ("validity_margin", _g17(result.validity_margin)),
-        ("is_valid", "true" if result.is_valid else "false"),
-        ("spectrum_at_saddle_re", _g17(result.spectrum_at_saddle.real)),
-        ("spectrum_at_saddle_im", _g17(result.spectrum_at_saddle.imag)),
-    ]
-    _emit_mapping(pairs, args.format or "obj", args.out)
+    row = {
+        "value_re": result.value.real,
+        "value_im": result.value.imag,
+        "k0r": result.k0r,
+        "theta": result.theta,
+        "theta0": result.theta0,
+        "validity_margin": result.validity_margin,
+        "is_valid": result.is_valid,
+        "spectrum_at_saddle_re": result.spectrum_at_saddle.real,
+        "spectrum_at_saddle_im": result.spectrum_at_saddle.imag,
+    }
+    _emit_row(row, args.format or "obj", args.out)
     return EXIT_OK
 
 
@@ -123,18 +106,18 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         max_panels=args.max_panels,
     )
     result = oracle_eval(f, p, args.k0, cfg)
-    pairs = [
-        ("value_re", _g17(result.value.real)),
-        ("value_im", _g17(result.value.imag)),
-        ("est_error", _g17(result.est_error)),
-        ("evaluations", str(result.evaluations)),
-        ("propagating_re", _g17(result.propagating_part.real)),
-        ("propagating_im", _g17(result.propagating_part.imag)),
-        ("evanescent_re", _g17(result.evanescent_part.real)),
-        ("evanescent_im", _g17(result.evanescent_part.imag)),
-        ("converged", "true" if result.converged else "false"),
-    ]
-    _emit_mapping(pairs, args.format or "obj", args.out)
+    row = {
+        "value_re": result.value.real,
+        "value_im": result.value.imag,
+        "est_error": result.est_error,
+        "evaluations": result.evaluations,
+        "propagating_re": result.propagating_part.real,
+        "propagating_im": result.propagating_part.imag,
+        "evanescent_re": result.evanescent_part.real,
+        "evanescent_im": result.evanescent_part.imag,
+        "converged": result.converged,
+    }
+    _emit_row(row, args.format or "obj", args.out)
     if not result.converged:
         print("oracle: panel budget exhausted before reaching rel_tol", file=sys.stderr)
         return EXIT_NONCONVERGED
@@ -165,8 +148,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         trailer = "exact"
     else:
         try:
-            trailer = _g17(harness.fit_convergence_slope(records, args.theta))
-        except Exception:
+            trailer = harness.fit_convergence_slope(records, args.theta)
+        except InsufficientDataError:
             trailer = "insufficient-data"
     harness.emit(records, args.format or "csv", args.out, trailer=trailer)
     return EXIT_OK
@@ -189,29 +172,12 @@ def _cmd_parse_check(args: argparse.Namespace) -> int:
     try:
         f = parse_spectrum(args.spectrum_expr)
     except SpectrumParseError as exc:
+        row = {"ok": False, "error": str(exc), "position": exc.position}
         if fmt == "obj":
-            payload = {
-                "ok": False,
-                "error": str(exc),
-                "position": exc.position,
-                "expected": list(exc.expected),
-            }
-            text = json.dumps(payload) + "\n"
-        else:
-            text = "ok,error,position\nfalse," + json.dumps(str(exc)) + f",{exc.position}\n"
-        if args.out == "-":
-            sys.stdout.write(text)
-        else:
-            Path(args.out).write_text(text, encoding="utf-8")
+            row["expected"] = list(exc.expected)
+        _emit_row(row, fmt, args.out)
         return EXIT_USAGE
-    if fmt == "obj":
-        text = json.dumps({"ok": True, "normalized": f.label}) + "\n"
-    else:
-        text = "ok,normalized\ntrue," + json.dumps(f.label) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text, encoding="utf-8")
+    _emit_row({"ok": True, "normalized": f.label}, fmt, args.out)
     return EXIT_OK
 
 

@@ -6,6 +6,8 @@ violations exit 3, numerical non-convergence exits 4.
 
 from __future__ import annotations
 
+import math
+
 
 class AsxError(Exception):
     """Base class for all package errors."""
@@ -60,3 +62,15 @@ class SpectrumEvaluationError(AsxError, ArithmeticError):
 
 class InsufficientDataError(AsxError, ValueError):
     """Not enough (or degenerate) records for the requested fit."""
+
+
+def require_positive(
+    name: str, value: float, error: type[AsxError] = ConfigError
+) -> float:
+    """Return ``value`` if it is finite and positive, else raise ``error``.
+
+    The one positivity check of the package: NaN and infinity fail it too.
+    """
+    if not (value > 0.0 and math.isfinite(value)):
+        raise error(f"{name} must be positive and finite, got {value}")
+    return value

@@ -6,30 +6,29 @@ observation points are constructed as
 
     r = k0r/k0,  z = theta*r,  rho_xy = r*sqrt(1 - theta^2)
 
-at a chosen azimuth.  Each grid cell yields one ComparisonRecord; a failed
-oracle evaluation flags its record instead of aborting the sweep.  Records
-are emitted in deterministic grid order (theta-major, then k0r) and CSV
-fields are serialized with 17 significant digits so that parsing them back
-is lossless.
+at a chosen azimuth.  Each grid cell yields one ComparisonRecord; a cell
+whose evaluation fails is flagged instead of aborting the sweep.  Records
+are emitted in deterministic grid order (theta-major, then k0r) and numbers
+are serialized with 17 significant digits so that parsing them back is
+lossless.  The same serializer and writer carry the single-row output of
+the CLI's point commands.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .asymptotics import leading_order
-from .errors import ConfigError, InsufficientDataError
-from .oracle import QuadratureConfig, oracle_eval
+from .errors import AsxError, ConfigError, InsufficientDataError, require_positive
+from .oracle import ORACLE_K0R_ENVELOPE, QuadratureConfig, oracle_eval
 from .spectra import SpectrumFunction
 from .spectral import ObservationPoint
 
@@ -41,6 +40,8 @@ __all__ = [
     "fit_convergence_slope",
     "validity_map",
     "emit",
+    "serialize",
+    "write",
     "read_csv_records",
     "CSV_FIELDS",
 ]
@@ -58,8 +59,6 @@ CSV_FIELDS = (
     "rel_error",
     "validity_margin",
 )
-
-ORACLE_K0R_ENVELOPE = 300.0
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,7 @@ class SweepConfig:
     """Grid definition for a sweep.
 
     theta values must lie in (0, 1]; k0r values must be positive and stay
-    within the oracle's desk-scale envelope (k0r <= 300).
+    within the oracle's desk-scale envelope (``ORACLE_K0R_ENVELOPE``).
     """
 
     spectrum: SpectrumFunction
@@ -96,14 +95,15 @@ class SweepConfig:
     def __post_init__(self):
         object.__setattr__(self, "theta_values", tuple(self.theta_values))
         object.__setattr__(self, "k0r_values", tuple(self.k0r_values))
-        if self.k0 <= 0.0:
-            raise ConfigError(f"k0 must be positive, got {self.k0}")
+        require_positive("k0", self.k0)
         if not self.theta_values or not self.k0r_values:
             raise ConfigError("theta_values and k0r_values must be nonempty")
         if any(not (0.0 < t <= 1.0) for t in self.theta_values):
             raise ConfigError("theta values must lie in (0, 1]")
-        if any(v <= 0.0 for v in self.k0r_values):
-            raise ConfigError("k0r values must be positive")
+        for v in self.k0r_values:
+            require_positive("k0r", v)
+        if not math.isfinite(self.azimuth):
+            raise ConfigError(f"azimuth must be finite, got {self.azimuth}")
         if any(v > ORACLE_K0R_ENVELOPE for v in self.k0r_values):
             raise ConfigError(
                 f"k0r values beyond {ORACLE_K0R_ENVELOPE:g} are outside the "
@@ -123,49 +123,36 @@ def point_from_parameters(
     )
 
 
-def thread_count() -> int:
-    """Worker cap from ASX_THREADS, defaulting to the available cores."""
-    raw = os.environ.get("ASX_THREADS", "")
-    if raw.strip():
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ConfigError(f"ASX_THREADS must be an integer, got {raw!r}") from None
-        if n < 1:
-            raise ConfigError(f"ASX_THREADS must be >= 1, got {n}")
-        return n
-    return os.cpu_count() or 1
-
-
 def _one_record(cfg: SweepConfig, theta: float, k0r: float) -> ComparisonRecord:
     p = point_from_parameters(theta, k0r, cfg.k0, cfg.azimuth)
-    asym = leading_order(cfg.spectrum, p, cfg.k0)
+    asym = oracle_value = complex(math.nan, math.nan)
+    margin = rel = math.nan
     start = time.perf_counter()
-    try:
+    try:  # one bad cell, one flag
+        lo = leading_order(cfg.spectrum, p, cfg.k0)
+        asym, margin = lo.value, lo.validity_margin
+        start = time.perf_counter()
         result = oracle_eval(cfg.spectrum, p, cfg.k0, cfg.oracle_cfg)
-        elapsed = time.perf_counter() - start
         oracle_value = result.value
         rel = (
-            abs(asym.value - oracle_value) / abs(oracle_value)
+            abs(asym - oracle_value) / abs(oracle_value)
             if oracle_value != 0
             else math.inf
         )
         failed = not result.converged
         note = "" if result.converged else "oracle budget exhausted"
-    except Exception as exc:  # per-record isolation: one bad cell, one flag
-        elapsed = time.perf_counter() - start
-        oracle_value = complex(math.nan, math.nan)
-        rel = math.nan
+    except AsxError as exc:
         failed = True
         note = f"{type(exc).__name__}: {exc}"
+    elapsed = time.perf_counter() - start
     return ComparisonRecord(
         k0r=k0r,
         theta=theta,
         point=p,
-        asym=asym.value,
+        asym=asym,
         oracle=oracle_value,
         rel_error=rel,
-        validity_margin=asym.validity_margin,
+        validity_margin=margin,
         wall_time_oracle=elapsed,
         failed=failed,
         note=note,
@@ -173,20 +160,8 @@ def _one_record(cfg: SweepConfig, theta: float, k0r: float) -> ComparisonRecord:
 
 
 def run_sweep(cfg: SweepConfig) -> list[ComparisonRecord]:
-    """One record per (theta, k0r) grid cell, in deterministic grid order.
-
-    Records are independent, so they may be computed concurrently (capped
-    by ASX_THREADS); the returned ordering and every numeric field are
-    identical regardless of the worker count.
-    """
-    grid = [(t, v) for t in cfg.theta_values for v in cfg.k0r_values]
-    workers = min(thread_count(), len(grid))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda tv: _one_record(cfg, *tv), grid))
-    else:
-        records = [_one_record(cfg, t, v) for t, v in grid]
-    return records
+    """One record per (theta, k0r) grid cell, in deterministic grid order."""
+    return [_one_record(cfg, t, v) for t in cfg.theta_values for v in cfg.k0r_values]
 
 
 def fit_convergence_slope(
@@ -242,13 +217,57 @@ def _g17(value: float) -> str:
     return format(value, ".17g")
 
 
-def _g17_json(value: float) -> str:
-    # json.loads understands NaN/Infinity but not the lowercase forms
-    if math.isnan(value):
-        return "NaN"
-    if math.isinf(value):
-        return "Infinity" if value > 0 else "-Infinity"
-    return format(value, ".17g")
+def _field(value, fmt: str) -> str:
+    """One value as text: floats with 17 significant digits, everything
+    else (and NaN/Infinity in obj) in its JSON spelling."""
+    if isinstance(value, float) and (fmt == "csv" or math.isfinite(value)):
+        return _g17(value)
+    return json.dumps(value)
+
+
+def serialize(
+    fields: Sequence[str],
+    rows: Iterable[Mapping[str, object]],
+    fmt: str,
+    trailer: str | float | None = None,
+) -> str:
+    """Rows as CSV (header line first) or as JSON lines ("obj").
+
+    ``trailer`` appends one final ``# slope,<value>`` comment line (CSV)
+    or ``{"slope": "<value>"}`` object (obj); a number is written with 17
+    significant digits.
+    """
+    if fmt not in ("csv", "obj"):
+        raise ConfigError(f"format must be 'csv' or 'obj', got {fmt!r}")
+    if fmt == "csv":
+        lines = [",".join(fields)]
+        lines += [",".join(_field(row[k], fmt) for k in fields) for row in rows]
+    else:
+        lines = [
+            "{" + ", ".join(f'"{k}": {_field(row[k], fmt)}' for k in fields) + "}"
+            for row in rows
+        ]
+    if trailer is not None:
+        if isinstance(trailer, float):
+            trailer = _g17(trailer)
+        lines.append(f"# slope,{trailer}" if fmt == "csv" else json.dumps({"slope": trailer}))
+    return "\n".join(lines) + "\n"
+
+
+def write(text: str, destination: str | Path | IO[str] | None = None) -> None:
+    """Write ``text`` to a path, an open text stream, or None/'-' for stdout.
+
+    A path that cannot be written is a :class:`~asx.errors.ConfigError`.
+    """
+    if destination is None or destination == "-":
+        sys.stdout.write(text)
+    elif hasattr(destination, "write"):
+        destination.write(text)
+    else:
+        try:
+            Path(destination).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {destination}: {exc.strerror or exc}") from None
 
 
 def _record_row(rec: ComparisonRecord) -> dict[str, float]:
@@ -271,41 +290,14 @@ def emit(
     records: Sequence[ComparisonRecord],
     fmt: str = "csv",
     destination: str | Path | IO[str] | None = None,
-    trailer: str | None = None,
+    trailer: str | float | None = None,
 ) -> None:
     """Write records as CSV or as JSON lines ("obj") with the same fields.
 
-    ``destination`` may be a path, an open text stream, or None/'-' for
-    stdout.  ``trailer`` appends one final comment line (CSV) or object
-    (obj), used by the CLI for the convergence-slope summary.
+    ``destination`` is passed to :func:`write`; ``trailer`` to
+    :func:`serialize`, used by the CLI for the convergence-slope summary.
     """
-    if fmt not in ("csv", "obj"):
-        raise ConfigError(f"format must be 'csv' or 'obj', got {fmt!r}")
-
-    lines: list[str] = []
-    if fmt == "csv":
-        lines.append(",".join(CSV_FIELDS))
-        for rec in records:
-            row = _record_row(rec)
-            lines.append(",".join(_g17(row[name]) for name in CSV_FIELDS))
-        if trailer is not None:
-            lines.append(f"# slope,{trailer}")
-    else:
-        for rec in records:
-            row = _record_row(rec)
-            lines.append(
-                "{" + ", ".join(f'"{k}": {_g17_json(v)}' for k, v in row.items()) + "}"
-            )
-        if trailer is not None:
-            lines.append(json.dumps({"slope": trailer}))
-    text = "\n".join(lines) + "\n"
-
-    if destination is None or destination == "-":
-        sys.stdout.write(text)
-    elif hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        Path(destination).write_text(text, encoding="utf-8")
+    write(serialize(CSV_FIELDS, map(_record_row, records), fmt, trailer), destination)
 
 
 def read_csv_records(source: str | Path) -> list[dict[str, float]]:

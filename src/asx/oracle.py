@@ -19,20 +19,21 @@ design optimizes for controlled error rather than speed:
   the branch circle itself is never evaluated) refined worst-first until
   the summed panel error estimate meets rel_tol * |value|.
 
-Cost grows roughly quadratically with k0*r; the intended envelope is
-k0*r <= ~300.  Identical inputs produce identical outputs: panels are
-refined and summed in a fixed deterministic order.
+Cost grows roughly quadratically with k0*r, so the oracle refuses
+k0*r above ORACLE_K0R_ENVELOPE.  Identical inputs produce identical
+outputs: panels are refined and summed in a fixed deterministic order.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, DomainError, require_positive
 from .spectra import SpectrumFunction
 from .spectral import ObservationPoint
 
@@ -40,11 +41,14 @@ __all__ = [
     "QuadratureConfig",
     "OracleResult",
     "oracle_eval",
-    "propagating_integral",
-    "evanescent_integral",
 ]
 
+ORACLE_K0R_ENVELOPE = 300.0  # desk-scale limit on k0*r
 _PANEL_NODES = 16  # Gauss-Legendre size per panel; error gauged against 2x
+# Beyond this azimuthal bandwidth k_rho*rho_xy the first trapezoid would need
+# more than 2^19 nodes (8 MB per complex array): the point is too close to
+# grazing for the oracle.
+_MAX_PHI_BANDWIDTH = float(1 << 18)
 
 
 @dataclass(frozen=True)
@@ -88,13 +92,13 @@ class OracleResult:
     converged: bool
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+    """Gauss-Legendre nodes and weights on [-1, 1], shared read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 class _Counter:
@@ -126,6 +130,11 @@ def _phi_integral(
         return 2.0 * math.pi * f.evaluate(krho, 0.0, kz, k0)
 
     bandwidth = krho * rho
+    if not bandwidth <= _MAX_PHI_BANDWIDTH:
+        raise DomainError(
+            f"azimuthal bandwidth k_rho*rho_xy = {bandwidth:.3g} is beyond the "
+            "oracle's reach: the observation point is too close to grazing"
+        )
     n = 1 << max(int(np.ceil(np.log2(max(cfg.phi_nodes, bandwidth + 32)))), 2)
     phi = 2.0 * math.pi * np.arange(n) / n
     kx = krho * np.cos(phi)
@@ -221,25 +230,26 @@ class _Region:
 
 def _evanescent_cutoff(
     p: ObservationPoint, k0: float, cfg: QuadratureConfig
-) -> float:
-    """Truncation point in s = sqrt(k_rho^2 - k0^2): decay below
-    rel_tol/10, optionally capped by cfg.k_max."""
-    s_decay = math.log(10.0 / cfg.rel_tol) / p.z
-    if math.isfinite(cfg.k_max):
-        if cfg.k_max <= k0:
-            raise ConfigError(
-                f"k_max must exceed k0, got k_max={cfg.k_max} with k0={k0}"
-            )
-        return min(s_decay, math.sqrt(cfg.k_max**2 - k0**2))
-    return s_decay
+) -> tuple[float, float]:
+    """Truncation point in s = sqrt(k_rho^2 - k0^2) where the decay drops
+    below rel_tol/10, and the cap on s set by cfg.k_max (inf if uncapped)."""
+    if cfg.k_max <= k0:
+        raise ConfigError(f"k_max must exceed k0, got k_max={cfg.k_max} with k0={k0}")
+    s_cap = math.sqrt((cfg.k_max - k0) * (cfg.k_max + k0))
+    s_max = min(math.log(10.0 / cfg.rel_tol) / p.z, s_cap)
+    # k_rho at the cutoff must stay finite (s_max is infinite for denormal z)
+    if not math.isfinite(k0 * k0 + s_max * s_max):
+        raise DomainError(
+            f"evanescent cutoff s = {s_max:.3g} is out of range at z = {p.z:g}: "
+            "the observation point is too close to the z = 0 plane for the oracle"
+        )
+    return s_max, s_cap
 
 
 def _prop_region(f, p, k0, cfg, count) -> _Region:
     """Propagating disk in the kz variable: kz in [0, k0], integrand
     kz * exp(i*kz*z) * (azimuthal integral).  Initial panel density scales
     linearly with the total phase k0*r."""
-    if k0 <= 0.0:
-        raise ConfigError(f"k0 must be positive, got {k0}")
 
     def h_prop(kz: float) -> complex:
         krho = math.sqrt(max(k0 * k0 - kz * kz, 0.0))
@@ -250,20 +260,17 @@ def _prop_region(f, p, k0, cfg, count) -> _Region:
     return _Region(h_prop, 0.0, k0, n_prop)
 
 
-def _evan_region(f, p, k0, cfg, count) -> tuple[_Region, float]:
+def _evan_region(f, p, k0, cfg, count, s_max) -> _Region:
     """Evanescent region in s = sqrt(k_rho^2 - k0^2): s in (0, s_max],
     weight s * exp(-s*z)."""
-    if k0 <= 0.0:
-        raise ConfigError(f"k0 must be positive, got {k0}")
-    s_max = _evanescent_cutoff(p, k0, cfg)
 
     def h_evan(s: float) -> complex:
         krho = math.sqrt(k0 * k0 + s * s)
         return s * math.exp(-s * p.z) * _phi_integral(f, krho, 1j * s, p, k0, cfg, count)
 
     cap = max(8, cfg.max_panels // 4)
-    n_evan = max(8, min(int(math.ceil(p.rho_xy * s_max / 4.0)) if p.rho_xy else 8, cap))
-    return _Region(h_evan, 0.0, s_max, n_evan), s_max
+    n_evan = max(8, int(math.ceil(min(p.rho_xy * s_max / 4.0, cap))))
+    return _Region(h_evan, 0.0, s_max, n_evan)
 
 
 def _tail_bound(f, p, k0, s_max, count) -> float:
@@ -304,14 +311,24 @@ def oracle_eval(
     panel budget runs out before ``est_error <= rel_tol * |value|`` the
     best value is returned with ``converged=False``.  A persistently
     growing error estimate under refinement raises
-    :class:`~asx.errors.DivergenceError`.
+    :class:`~asx.errors.DivergenceError`.  ``k0*r`` above
+    ``ORACLE_K0R_ENVELOPE`` is a :class:`~asx.errors.ConfigError`.
     """
     cfg = cfg or QuadratureConfig()
+    require_positive("k0", k0)
+    k0r = k0 * p.r
+    # a few ulps of slack: sweep points at the envelope are rebuilt from
+    # (theta, k0r) and carry rounding in r
+    if not k0r <= ORACLE_K0R_ENVELOPE * (1.0 + 1e-12):
+        raise ConfigError(
+            f"k0*r = {k0r:g} is outside the oracle's desk-scale envelope "
+            f"k0*r <= {ORACLE_K0R_ENVELOPE:g}"
+        )
+    s_max, s_cap = _evanescent_cutoff(p, k0, cfg)
     count = _Counter()
     prop = _prop_region(f, p, k0, cfg, count)
-    evan, s_max = _evan_region(f, p, k0, cfg, count)
+    evan = _evan_region(f, p, k0, cfg, count, s_max)
     tail = _tail_bound(f, p, k0, s_max, count)
-    s_cap = math.sqrt(cfg.k_max**2 - k0**2) if math.isfinite(cfg.k_max) else math.inf
 
     best_err = math.inf
     converged = False
@@ -356,34 +373,3 @@ def oracle_eval(
         evanescent_part=e_val,
         converged=converged,
     )
-
-
-def _single_region(region: _Region, cfg: QuadratureConfig) -> complex:
-    while region.err > cfg.rel_tol * max(abs(region.value()), 1e-300):
-        if region.panel_count >= cfg.max_panels:
-            break
-        region.refine_worst()
-    return region.value()
-
-
-def propagating_integral(
-    f: SpectrumFunction,
-    p: ObservationPoint,
-    k0: float,
-    cfg: QuadratureConfig | None = None,
-) -> complex:
-    """Contribution of the propagating disk kx^2 + ky^2 <= k0^2 alone."""
-    cfg = cfg or QuadratureConfig()
-    return _single_region(_prop_region(f, p, k0, cfg, _Counter()), cfg)
-
-
-def evanescent_integral(
-    f: SpectrumFunction,
-    p: ObservationPoint,
-    k0: float,
-    cfg: QuadratureConfig | None = None,
-) -> complex:
-    """Contribution of the evanescent region kx^2 + ky^2 > k0^2 alone."""
-    cfg = cfg or QuadratureConfig()
-    region, _ = _evan_region(f, p, k0, cfg, _Counter())
-    return _single_region(region, cfg)

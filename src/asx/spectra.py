@@ -35,7 +35,6 @@ __all__ = [
     "gaussian",
     "builtin_spectrum",
     "parse_spectrum",
-    "evaluate",
 ]
 
 
@@ -68,14 +67,6 @@ class SpectrumFunction:
         if scalar:
             return complex(out)
         return out
-
-    def __call__(self, kx, ky, kz, k0: float):
-        return self.evaluate(kx, ky, kz, k0)
-
-
-def evaluate(f: SpectrumFunction, kx, ky, kz, k0: float):
-    """Free-function form of :meth:`SpectrumFunction.evaluate`."""
-    return f.evaluate(kx, ky, kz, k0)
 
 
 def _weyl_fn(kx, ky, kz, k0):

@@ -18,21 +18,19 @@ values instead of recomputing square roots.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchContinuationError, ConfigError, DomainError
+from .errors import BranchContinuationError, DomainError, require_positive
 
 __all__ = [
     "ObservationPoint",
     "SaddleData",
-    "ComplexWaveVector",
     "kz_branch",
     "saddle_point",
     "local_half_width",
-    "sdp_map",
-    "phase_U",
 ]
 
 
@@ -57,7 +55,13 @@ class ObservationPoint:
 
     @property
     def r(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+        # hypot only where the squares overflow or underflow: elsewhere it
+        # can differ from the sum of squares in the last ulp, and that ulp
+        # shows in exp(i*k0*r) and every output derived from it
+        r2 = self.x * self.x + self.y * self.y + self.z * self.z
+        if sys.float_info.min <= r2 < math.inf:
+            return math.sqrt(r2)
+        return math.hypot(self.x, self.y, self.z)
 
     @property
     def theta(self) -> float:
@@ -72,29 +76,14 @@ class ObservationPoint:
 
 @dataclass(frozen=True)
 class SaddleData:
-    """Saddle-point wave vector, its direction angles and validity scale.
-
-    ``psi_x`` and ``psi_y`` are stored for reporting only; all arithmetic
-    uses the direction cosines to avoid trigonometric round trips.
-    """
+    """Saddle-point wave vector and validity scale."""
 
     kxs: float
     kys: float
     kzs: float
-    psi_x: float
-    psi_y: float
     k0: float
     k0r: float
     theta0: float
-
-
-@dataclass(frozen=True)
-class ComplexWaveVector:
-    """A point of the complexified spectral domain with its top-sheet kz."""
-
-    kx: complex
-    ky: complex
-    kz: complex
 
 
 def kz_branch(kx, ky, k0):
@@ -105,13 +94,12 @@ def kz_branch(kx, ky, k0):
     imaginary with positive imaginary part outside.  For complex arguments
     (points of the steepest-descent path) the principal square root of
     ``k0^2 - kx^2 - ky^2`` is returned, which is the analytic continuation
-    from the saddle; see :func:`sdp_map` for the certification of that claim.
+    from the saddle; see :func:`_sdp_grid` for the certification of that claim.
 
     Accepts scalars or numpy arrays.  ``kz = 0`` on the branch circle is
     returned as-is; callers handle it.
     """
-    if k0 <= 0.0:
-        raise ConfigError(f"k0 must be positive, got {k0}")
+    require_positive("k0", k0)
     kx = np.asarray(kx)
     ky = np.asarray(ky)
     kz2 = k0 * k0 - kx * kx - ky * ky
@@ -132,18 +120,16 @@ def saddle_point(p: ObservationPoint, k0: float) -> SaddleData:
     """Saddle-point data for observation point ``p`` at wavenumber ``k0``.
 
     The saddle sits at ``(k0*x/r, k0*y/r)`` with ``kzs = k0*z/r > 0``; the
-    validity threshold is ``theta0 = (k0*r)**-0.5``.
+    validity threshold is ``theta0 = (k0*r)**-0.5``.  A product ``k0*r``
+    that overflows or underflows is a :class:`~asx.errors.DomainError`.
     """
-    if k0 <= 0.0:
-        raise ConfigError(f"k0 must be positive, got {k0}")
+    require_positive("k0", k0)
     r = p.r
-    k0r = k0 * r
+    k0r = require_positive("k0*r", k0 * r, DomainError)
     return SaddleData(
         kxs=k0 * p.x / r,
         kys=k0 * p.y / r,
         kzs=k0 * p.z / r,
-        psi_x=math.acos(max(-1.0, min(1.0, p.x / r))),
-        psi_y=math.acos(max(-1.0, min(1.0, p.y / r))),
         k0=k0,
         k0r=k0r,
         theta0=1.0 / math.sqrt(k0r),
@@ -158,9 +144,7 @@ def local_half_width(k0r: float) -> float:
     theta near 1; smaller theta is the job of the validity gate, not of a
     wider window.
     """
-    if k0r <= 0.0:
-        raise ConfigError(f"k0r must be positive, got {k0r}")
-    return 6.0 / math.sqrt(k0r)
+    return 6.0 / math.sqrt(require_positive("k0r", k0r))
 
 
 def _certify_on_sheet(s: SaddleData, xi, eta) -> None:
@@ -193,10 +177,15 @@ def _certify_on_sheet(s: SaddleData, xi, eta) -> None:
 
 
 def _sdp_grid(s: SaddleData, xi, eta):
-    """Vectorized steepest-descent map: returns (kx, ky, kz) arrays.
+    """Steepest-descent map of local coordinates: returns (kx, ky, kz).
 
-    ``xi`` and ``eta`` broadcast against each other; the continuation of
-    ``kz`` from the saddle is certified before the square root is taken.
+    ``kx = kxs + kzs*(1-i)*xi`` and ``ky = kys + kzs*(1-i)*eta``; ``kz`` is
+    the analytic continuation of the top-sheet branch from the saddle,
+    equal to ``kzs`` at the origin.  ``xi`` and ``eta`` are scalars or
+    arrays that broadcast against each other.  The continuation is
+    certified before the square root is taken; a crossing of ``k_z^2``
+    over the negative real axis raises
+    :class:`~asx.errors.BranchContinuationError`.
     """
     _certify_on_sheet(s, xi, eta)
     slope = s.kzs * (1.0 - 1.0j)
@@ -206,31 +195,13 @@ def _sdp_grid(s: SaddleData, xi, eta):
     return kx, ky, kz
 
 
-def sdp_map(s: SaddleData, xi: float, eta: float) -> ComplexWaveVector:
-    """Map local coordinates (xi, eta) onto the steepest-descent path.
-
-    ``kx = kxs + kzs*(1-i)*xi`` and ``ky = kys + kzs*(1-i)*eta``; ``kz`` is
-    the analytic continuation of the top-sheet branch from the saddle,
-    equal to ``kzs`` at the origin.  Raises
-    :class:`~asx.errors.BranchContinuationError` if the continuation
-    tracking detects ``k_z^2`` crossing the negative real axis.
-    """
-    kx, ky, kz = _sdp_grid(s, float(xi), float(eta))
-    return ComplexWaveVector(kx=complex(kx), ky=complex(ky), kz=complex(kz))
-
-
-def phase_U(s: SaddleData, p: ObservationPoint, xi: float, eta: float) -> complex:
-    """Normalized on-path phase ``U = (kx*x + ky*y + kz*z)/(k0*r) - 1``.
+def _phase_grid(s: SaddleData, p: ObservationPoint, xi, eta):
+    """Normalized on-path phase ``U = (kx*x + ky*y + kz*z)/(k0*r) - 1`` with
+    the (kx, ky, kz) it was computed from, over broadcast (xi, eta).
 
     ``U(0, 0) = 0`` up to rounding and the first derivatives vanish at the
     origin.  Intended for the local domain ``|xi|, |eta| <= local_half_width``.
     """
-    w = sdp_map(s, xi, eta)
-    return (w.kx * p.x + w.ky * p.y + w.kz * p.z) / (s.k0 * p.r) - 1.0
-
-
-def _phase_grid(s: SaddleData, p: ObservationPoint, xi, eta):
-    """Vectorized (U, kx, ky, kz) over broadcast (xi, eta) grids."""
     kx, ky, kz = _sdp_grid(s, xi, eta)
     u = (kx * p.x + ky * p.y + kz * p.z) / (s.k0 * p.r) - 1.0
     return u, kx, ky, kz

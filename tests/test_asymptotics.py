@@ -17,7 +17,6 @@ from asx import (
     local_sdp_integral,
     parse_spectrum,
     quadratic_coeffs,
-    truncated_phase,
     validity_threshold,
     weyl,
 )
@@ -76,23 +75,6 @@ class TestQuadraticCoeffs:
             assert 0.0 < q.a <= 1.0
             assert 0.0 < q.b <= 1.0
             assert q.det > 0.0
-
-
-class TestTruncatedPhase:
-    def test_zero_at_origin(self):
-        q = quadratic_coeffs(ObservationPoint(1, 2, 2))
-        assert truncated_phase(q, 0.0, 0.0) == 0.0
-
-    def test_direct_substitution(self):
-        q = quadratic_coeffs(ObservationPoint(3, 0, 4))
-        assert_allclose(truncated_phase(q, 0.1, 0.2), 0.0356j, rtol=1e-14)
-
-    def test_purely_imaginary(self):
-        rng = np.random.default_rng(2)
-        q = quadratic_coeffs(ObservationPoint(1.5, -2.5, 3.0))
-        for _ in range(50):
-            xi, eta = rng.uniform(-1, 1, 2)
-            assert truncated_phase(q, xi, eta).real == 0.0
 
 
 class TestGaussianClosedForm:

@@ -5,6 +5,9 @@ import os
 import subprocess
 import sys
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from asx.cli import main
@@ -371,7 +374,8 @@ class TestOutputFile:
 
 class TestDeterminism:
     def test_compare_is_byte_identical_across_thread_caps(self, tmp_path):
-        # subprocess runs so ASX_THREADS is picked up fresh each time
+        # separate processes: the bytes depend neither on the process nor
+        # on a leftover ASX_THREADS setting in its environment
         args = [
             sys.executable,
             "-m",
@@ -392,3 +396,52 @@ class TestDeterminism:
             proc = subprocess.run(args, capture_output=True, env=env, check=True)
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
+
+
+# (command, exit code, stdout lines): each input ends in a documented exit
+# code with a message, never in a traceback; {missing} is a path whose
+# directory does not exist
+BAD_INPUTS = [
+    ("compare --spectrum-expr 1/kx --theta 1 --k0r-grid 20:100:4:log", 0, 6),
+    ("eval --spectrum weyl --k0 nan --point 3,0,4", 2, 0),
+    ("eval --spectrum weyl --k0 inf --point 3,0,4", 2, 0),
+    ("validity-map --spectrum constant --k0r nan --theta-grid 0.12:0.9:6", 2, 0),
+    ("compare --spectrum weyl --theta 1 --k0r-grid 20:100:4:log --azimuth nan", 2, 0),
+    ("eval --spectrum weyl --point 1e200,1e200,1e200", 0, 1),
+    ("oracle --spectrum weyl --point 3,0,1e-300", 3, 0),
+    ("oracle --spectrum weyl --point 1e300,0,1e300", 2, 0),
+    ("oracle --spectrum weyl --point 3,0,1e-150", 3, 0),
+    ("oracle --spectrum weyl --point 3,0,4 --kmax 1e200", 0, 1),
+    ("compare --spectrum weyl --theta 1 --k0r-grid 20:100:4:log --out {missing}", 2, 0),
+    ("eval --spectrum weyl --point 3,0,4 --out {missing}", 2, 0),
+    ("parse-check --spectrum-expr kx --out {missing}", 2, 0),
+]
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("command,code,lines", BAD_INPUTS)
+    def test_documented_exit_code(self, command, code, lines, tmp_path, capsys):
+        argv = command.format(missing=tmp_path / "missing" / "out").split()
+        got, out, err = run_main(capsys, argv)
+        assert got == code, err
+        assert len(out.splitlines()) == lines
+        assert code == 0 or err.startswith("asx: ")
+
+
+NUMBERS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, 5e-324, 1e-300, 1e-150, 1e150, 1e300, 1.7e308]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    spectrum=st.sampled_from(["weyl", "constant", "gaussian(2)"]),
+    k0=NUMBERS,
+    point=st.tuples(NUMBERS, NUMBERS, NUMBERS),
+)
+def test_eval_exit_code_is_documented_for_any_k0_and_point(spectrum, k0, point):
+    # the --flag=value form keeps argparse from reading "-1e-05" as a flag
+    coords = ",".join(map(repr, point))
+    argv = ["eval", "--spectrum", spectrum, f"--k0={k0!r}", f"--point={coords}"]
+    assert main(argv) in (0, 2, 3, 4)

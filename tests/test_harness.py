@@ -10,6 +10,7 @@ from asx import (
     ConfigError,
     InsufficientDataError,
     QuadratureConfig,
+    SpectrumEvaluationError,
     SweepConfig,
     constant,
     emit,
@@ -106,7 +107,7 @@ class TestRunSweep:
             assert expected / 1.02 <= rec.rel_error <= expected * 1.02
 
     def test_failed_oracle_flags_the_record_only(self):
-        class Boom(Exception):
+        class Boom(SpectrumEvaluationError):
             pass
 
         calls = {"n": 0}
@@ -126,6 +127,15 @@ class TestRunSweep:
         assert records[0].failed
         assert "Boom" in records[0].note
         assert math.isnan(records[0].rel_error)
+
+    def test_programming_errors_propagate(self):
+        # only package errors become flagged records; a bug must surface
+        def fn(kx, ky, kz, k0):
+            raise TypeError("synthetic bug")
+
+        bad = SpectrumFunction(kind="builtin", label="bad", radial=True, _fn=fn)
+        with pytest.raises(TypeError):
+            run_sweep(SweepConfig(bad, 1.0, (0.8,), (20.0,)))
 
     def test_grid_order_and_values_are_reproducible(self):
         cfg = SweepConfig(
@@ -314,35 +324,3 @@ class TestEmit:
     def test_unknown_format_rejected(self):
         with pytest.raises(ConfigError):
             emit([], "xml", io.StringIO())
-
-
-class TestThreadCap:
-    def test_asx_threads_respected_and_deterministic(self, monkeypatch):
-        cfg = SweepConfig(
-            spectrum=constant(),
-            k0=1.0,
-            theta_values=(0.5, 0.7, 0.9),
-            k0r_values=(15.0, 25.0),
-            oracle_cfg=QuadratureConfig(rel_tol=1e-7),
-        )
-        monkeypatch.setenv("ASX_THREADS", "1")
-        serial = run_sweep(cfg)
-        monkeypatch.setenv("ASX_THREADS", "4")
-        threaded = run_sweep(cfg)
-        assert [(r.theta, r.k0r) for r in serial] == [
-            (r.theta, r.k0r) for r in threaded
-        ]
-        for a, b in zip(serial, threaded):
-            assert a.asym == b.asym
-            assert a.oracle == b.oracle
-            assert a.rel_error == b.rel_error
-
-    def test_bad_thread_env_rejected(self, monkeypatch):
-        from asx.harness import thread_count
-
-        monkeypatch.setenv("ASX_THREADS", "zebra")
-        with pytest.raises(ConfigError):
-            thread_count()
-        monkeypatch.setenv("ASX_THREADS", "0")
-        with pytest.raises(ConfigError):
-            thread_count()

@@ -11,10 +11,8 @@ from asx import (
     ObservationPoint,
     QuadratureConfig,
     constant,
-    evanescent_integral,
     gaussian,
     oracle_eval,
-    propagating_integral,
     weyl,
 )
 from asx.spectra import SpectrumFunction
@@ -50,6 +48,15 @@ class TestConfig:
     def test_budget_floor(self):
         with pytest.raises(ConfigError):
             QuadratureConfig(max_panels=4)
+
+    def test_envelope_admits_points_rebuilt_at_its_edge(self):
+        from asx import point_from_parameters
+
+        p = point_from_parameters(0.9022, 300.0, 1.0)
+        assert p.r > 300.0  # rounding in the rebuilt r
+        oracle_eval(weyl(), p, 1.0, QuadratureConfig(rel_tol=1e-2, max_panels=16))
+        with pytest.raises(ConfigError):
+            oracle_eval(weyl(), ObservationPoint(0, 0, 301), 1.0)
 
     def test_kmax_must_exceed_k0(self):
         cfg = QuadratureConfig(k_max=0.5)
@@ -158,11 +165,12 @@ class TestStructure:
 
 
 class TestPropagatingIntegral:
+    """The propagating part ``oracle_eval`` reports beside its value."""
+
     def test_weyl_parts_recombine(self):
         p = ObservationPoint(0, 0, 10)
-        cfg = QuadratureConfig(rel_tol=1e-7)
-        prop = propagating_integral(weyl(), p, 1.0, cfg)
-        evan = evanescent_integral(weyl(), p, 1.0, cfg)
+        res = oracle_eval(weyl(), p, 1.0, QuadratureConfig(rel_tol=1e-7))
+        prop, evan = res.propagating_part, res.evanescent_part
         exact = spherical_wave(p)
         assert abs(prop + evan - exact) < 1e-6 * abs(exact)
 
@@ -182,32 +190,45 @@ class TestPropagatingIntegral:
         im = quad(lambda t: radial(t).imag, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13)[0]
         reference = 2 * math.pi * complex(re, im)
         cfg = QuadratureConfig(rel_tol=1e-11)
-        value = propagating_integral(f, p, 1.0, cfg)
+        value = oracle_eval(f, p, 1.0, cfg).propagating_part
         assert abs(value - reference) <= 1e-10 * abs(reference)
 
 
 class TestEvanescentIntegral:
+    """The evanescent part ``oracle_eval`` reports beside its value."""
+
     def test_triangle_inequality_bound(self):
         # |evanescent part| <= 2*pi * max|f| * integral of s*exp(-s z) ds
         p = ObservationPoint(1, 0, 4)
         f = gaussian(1.0)
-        value = evanescent_integral(f, p, 1.0)
+        value = oracle_eval(f, p, 1.0).evanescent_part
         bound = 2 * math.pi * 1.0 * (1.0 / p.z**2 + 1.0 / p.z)
         assert abs(value) <= bound
 
     def test_magnitude_decays_when_z_doubles(self):
         f = constant()
-        small = abs(evanescent_integral(f, ObservationPoint(2, 0, 8), 1.0))
-        large = abs(evanescent_integral(f, ObservationPoint(2, 0, 4), 1.0))
+        small = abs(oracle_eval(f, ObservationPoint(2, 0, 8), 1.0).evanescent_part)
+        large = abs(oracle_eval(f, ObservationPoint(2, 0, 4), 1.0).evanescent_part)
         assert small < large
 
     def test_weyl_parts_recombine_at_moderate_distance(self):
         p = ObservationPoint(0, 0, 5)
-        cfg = QuadratureConfig(rel_tol=1e-7)
-        prop = propagating_integral(weyl(), p, 1.0, cfg)
-        evan = evanescent_integral(weyl(), p, 1.0, cfg)
+        res = oracle_eval(weyl(), p, 1.0, QuadratureConfig(rel_tol=1e-7))
+        prop, evan = res.propagating_part, res.evanescent_part
         exact = spherical_wave(p)
         assert abs(prop + evan - exact) < 1e-6 * abs(exact)
+
+
+class TestNodeCache:
+    def test_shared_nodes_are_read_only(self):
+        from asx.oracle import _leggauss
+
+        nodes, weights = _leggauss(64)
+        assert _leggauss(64)[0] is nodes
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
 
 
 class TestAzimuthalPaths:

@@ -10,7 +10,6 @@ from asx import (
     SpectrumParseError,
     builtin_spectrum,
     constant,
-    evaluate,
     gaussian,
     parse_spectrum,
     weyl,
@@ -100,9 +99,6 @@ class TestParserEquivalence:
             a = f.evaluate(kx, ky, kz, k0)
             b = g.evaluate(kx, ky, kz, k0)
             assert abs(a - b) <= 1e-14 * abs(b)
-
-    def test_free_function_form(self):
-        assert evaluate(constant(), 0, 0, 1, 1.0) == 1.0
 
 
 ROUND_TRIP_CORPUS = [
