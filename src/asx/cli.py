@@ -119,7 +119,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     }
     _emit_row(row, args.format or "obj", args.out)
     if not result.converged:
-        print("oracle: panel budget exhausted before reaching rel_tol", file=sys.stderr)
+        print(f"oracle: stopped by {result.limit} before reaching rel_tol", file=sys.stderr)
         return EXIT_NONCONVERGED
     return EXIT_OK
 

@@ -140,7 +140,7 @@ def _one_record(cfg: SweepConfig, theta: float, k0r: float) -> ComparisonRecord:
             else math.inf
         )
         failed = not result.converged
-        note = "" if result.converged else "oracle budget exhausted"
+        note = "" if result.converged else f"oracle stopped by {result.limit}"
     except AsxError as exc:
         failed = True
         note = f"{type(exc).__name__}: {exc}"

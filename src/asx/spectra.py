@@ -47,7 +47,6 @@ class SpectrumFunction:
     integral analytically.
     """
 
-    kind: str  # "builtin" | "parsed"
     label: str
     radial: bool
     _fn: Callable = field(repr=False, compare=False)
@@ -77,13 +76,12 @@ def _weyl_fn(kx, ky, kz, k0):
 
 def weyl() -> SpectrumFunction:
     """Spectrum of the outgoing spherical wave, ``i/(2*pi*kz)``."""
-    return SpectrumFunction(kind="builtin", label="weyl", radial=True, _fn=_weyl_fn)
+    return SpectrumFunction(label="weyl", radial=True, _fn=_weyl_fn)
 
 
 def constant() -> SpectrumFunction:
     """The unit spectrum, f = 1."""
     return SpectrumFunction(
-        kind="builtin",
         label="constant",
         radial=True,
         _fn=lambda kx, ky, kz, k0: np.ones(
@@ -103,9 +101,7 @@ def gaussian(w: float = 1.0) -> SpectrumFunction:
         ky = np.asarray(ky, dtype=complex)
         return np.exp(-w * w * (kx * kx + ky * ky) / 4.0)
 
-    return SpectrumFunction(
-        kind="builtin", label=f"gaussian({w:g})", radial=True, _fn=fn
-    )
+    return SpectrumFunction(label=f"gaussian({w:g})", radial=True, _fn=fn)
 
 
 _GAUSSIAN_RE = re.compile(r"gaussian\(([^)]*)\)\Z")
@@ -146,4 +142,4 @@ def parse_spectrum(src: str) -> SpectrumFunction:
     def fn(kx, ky, kz, k0):
         return expr.evaluate_tree(tree, {"kx": kx, "ky": ky, "kz": kz, "k0": k0})
 
-    return SpectrumFunction(kind="parsed", label=label, radial=False, _fn=fn)
+    return SpectrumFunction(label=label, radial=False, _fn=fn)

@@ -121,15 +121,23 @@ def saddle_point(p: ObservationPoint, k0: float) -> SaddleData:
 
     The saddle sits at ``(k0*x/r, k0*y/r)`` with ``kzs = k0*z/r > 0``; the
     validity threshold is ``theta0 = (k0*r)**-0.5``.  A product ``k0*r``
-    that overflows or underflows is a :class:`~asx.errors.DomainError`.
+    that overflows or underflows is a :class:`~asx.errors.DomainError`, and
+    so is a direction cosine ``z/r`` or a ``kzs`` that underflows to 0: the
+    saddle would sit on the branch circle, a grazing observation.
     """
     require_positive("k0", k0)
     r = p.r
     k0r = require_positive("k0*r", k0 * r, DomainError)
+    kzs = k0 * p.z / r
+    if not (p.z / r > 0.0 and kzs > 0.0):
+        raise DomainError(
+            f"direction cosine z/r = {p.z / r:g} underflows at z = {p.z:g}, "
+            f"r = {r:g}: grazing observation is outside the domain"
+        )
     return SaddleData(
         kxs=k0 * p.x / r,
         kys=k0 * p.y / r,
-        kzs=k0 * p.z / r,
+        kzs=kzs,
         k0=k0,
         k0r=k0r,
         theta0=1.0 / math.sqrt(k0r),
@@ -191,8 +199,7 @@ def _sdp_grid(s: SaddleData, xi, eta):
     slope = s.kzs * (1.0 - 1.0j)
     kx = s.kxs + slope * np.asarray(xi)
     ky = s.kys + slope * np.asarray(eta)
-    kz = np.sqrt((s.k0 * s.k0 - kx * kx - ky * ky).astype(complex))
-    return kx, ky, kz
+    return kx, ky, kz_branch(kx, ky, s.k0)
 
 
 def _phase_grid(s: SaddleData, p: ObservationPoint, xi, eta):

@@ -155,7 +155,6 @@ class TestLeadingOrder:
         alpha = 2.0 + 3.0j
         base = constant()
         scaled = SpectrumFunction(
-            kind="builtin",
             label="scaled",
             radial=True,
             _fn=lambda kx, ky, kz, k0: alpha * base._fn(kx, ky, kz, k0),
@@ -203,15 +202,12 @@ class TestLeadingOrder:
 class TestLocalSdpIntegral:
     def test_weyl_on_axis_example(self):
         p = ObservationPoint(0, 0, 50)
-        value = local_sdp_integral(
-            weyl(), p, 1.0, half_width=6 / math.sqrt(50), n=64
-        )
+        value = local_sdp_integral(weyl(), p, 1.0, n=64)
         exact = spherical_wave(p, 1.0)
         assert abs(value - exact) / abs(exact) < 0.02
 
     def test_zero_spectrum(self):
         zero = SpectrumFunction(
-            kind="builtin",
             label="zero",
             radial=True,
             _fn=lambda kx, ky, kz, k0: np.zeros(
@@ -234,9 +230,11 @@ class TestLocalSdpIntegral:
 
     def test_convergence_check_passes_when_settled(self):
         p = ObservationPoint(0, 0, 50)
-        value = local_sdp_integral(weyl(), p, 1.0, n=64, check_convergence=True)
+        value = local_sdp_integral(weyl(), p, 1.0, n=64)
+        refined = local_sdp_integral(weyl(), p, 1.0, n=128)
+        assert abs(refined - value) <= 1e-6 * abs(refined)
         exact = spherical_wave(p, 1.0)
-        assert abs(value - exact) / abs(exact) < 0.02
+        assert abs(refined - exact) / abs(exact) < 0.02
 
     def test_rejects_too_few_nodes(self):
         with pytest.raises(ConfigError):

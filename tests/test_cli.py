@@ -1,4 +1,6 @@
 import cmath
+import contextlib
+import io
 import json
 import math
 import os
@@ -200,6 +202,16 @@ class TestOracle:
         payload = json.loads(out)  # best value still printed
         assert payload["converged"] is False
         assert "budget" in err
+
+    def test_azimuthal_cap_exits_4_and_names_the_cap(self, capsys, monkeypatch):
+        from asx import oracle
+
+        monkeypatch.setattr(oracle, "_MAX_PHI_NODES", 64)
+        argv = "oracle --spectrum-expr sqrt(kx) --point 0,0,5 --tol 1e-2"
+        code, out, err = run_main(capsys, argv.split())
+        assert code == 4
+        assert json.loads(out)["converged"] is False
+        assert "the 64-node azimuthal cap at " in err
 
 
 class TestCompare:
@@ -415,6 +427,10 @@ BAD_INPUTS = [
     ("compare --spectrum weyl --theta 1 --k0r-grid 20:100:4:log --out {missing}", 2, 0),
     ("eval --spectrum weyl --point 3,0,4 --out {missing}", 2, 0),
     ("parse-check --spectrum-expr kx --out {missing}", 2, 0),
+    ("eval --spectrum constant --point 0,0,1e-308", 3, 0),
+    ("eval --spectrum weyl --point 1e308,0,1e-308", 3, 0),
+    ("eval --spectrum gaussian(2) --point 1e308,0,1e-308", 3, 0),
+    ("eval --spectrum weyl --k0 1e-308 --point 1e10,0,1e-308", 3, 0),
 ]
 
 
@@ -444,4 +460,11 @@ def test_eval_exit_code_is_documented_for_any_k0_and_point(spectrum, k0, point):
     # the --flag=value form keeps argparse from reading "-1e-05" as a flag
     coords = ",".join(map(repr, point))
     argv = ["eval", "--spectrum", spectrum, f"--k0={k0!r}", f"--point={coords}"]
-    assert main(argv) in (0, 2, 3, 4)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        row = json.loads(out.getvalue())
+        numbers = [v for v in row.values() if not isinstance(v, bool)]
+        assert all(math.isfinite(v) for v in numbers), row

@@ -120,7 +120,7 @@ class TestRunSweep:
                 np.broadcast_shapes(np.shape(kx), np.shape(ky)), dtype=complex
             )
 
-        bad = SpectrumFunction(kind="builtin", label="bad", radial=True, _fn=fn)
+        bad = SpectrumFunction(label="bad", radial=True, _fn=fn)
         cfg = SweepConfig(bad, 1.0, (0.8,), (20.0,))
         records = run_sweep(cfg)
         assert len(records) == 1
@@ -128,12 +128,18 @@ class TestRunSweep:
         assert "Boom" in records[0].note
         assert math.isnan(records[0].rel_error)
 
+    def test_unconverged_oracle_note_names_the_limit(self):
+        budget = QuadratureConfig(rel_tol=1e-8, max_panels=16)
+        (rec,) = run_sweep(SweepConfig(weyl(), 1.0, (1.0,), (300.0,), oracle_cfg=budget))
+        assert rec.failed
+        assert rec.note == "oracle stopped by the radial panel budget max_panels=16"
+
     def test_programming_errors_propagate(self):
         # only package errors become flagged records; a bug must surface
         def fn(kx, ky, kz, k0):
             raise TypeError("synthetic bug")
 
-        bad = SpectrumFunction(kind="builtin", label="bad", radial=True, _fn=fn)
+        bad = SpectrumFunction(label="bad", radial=True, _fn=fn)
         with pytest.raises(TypeError):
             run_sweep(SweepConfig(bad, 1.0, (0.8,), (20.0,)))
 

@@ -29,7 +29,6 @@ def constant_closed_form(p, k0=1.0):
 
 def zero_spectrum():
     return SpectrumFunction(
-        kind="builtin",
         label="zero",
         radial=True,
         _fn=lambda kx, ky, kz, k0: np.zeros(
@@ -126,7 +125,6 @@ class TestStructure:
         f = gaussian(1.0)
         g = constant()
         combo = SpectrumFunction(
-            kind="builtin",
             label="combo",
             radial=True,
             _fn=lambda kx, ky, kz, k0: alpha * f._fn(kx, ky, kz, k0)
@@ -160,6 +158,7 @@ class TestStructure:
         cfg = QuadratureConfig(rel_tol=1e-8, max_panels=16)
         res = oracle_eval(weyl(), p, 1.0, cfg)
         assert not res.converged
+        assert res.limit == "the radial panel budget max_panels=16"
         assert res.est_error > 0.0
         assert math.isfinite(abs(res.value))
 
@@ -243,6 +242,32 @@ class TestAzimuthalPaths:
         parsed = oracle_eval(parse_spectrum("exp(-(kx^2+ky^2)/4)"), p, 1.0, cfg)
         assert abs(built.value - parsed.value) <= 1e-12 * abs(built.value)
         assert built.evaluations < parsed.evaluations
+
+    def test_cap_without_a_passed_test_is_counted(self):
+        # sqrt(kx) has a branch point on the ring, so the trapezoid
+        # converges only algebraically and reaches the cap unpassed
+        from asx import parse_spectrum
+        from asx.oracle import _MAX_PHI_NODES, _Counter, _phi_integral
+
+        count = _Counter()
+        p = ObservationPoint(0, 0, 5)
+        _phi_integral(parse_spectrum("sqrt(kx)"), 0.7, 0.7, p, 1.0, 1e-7, count)
+        assert count.capped == 1
+        assert count.n == _MAX_PHI_NODES
+
+    def test_first_pass_beyond_the_cap_is_still_tested(self):
+        # bandwidth 4e4 starts at 2^16 nodes, above the cap; one doubling
+        # still checks them
+        from scipy.special import j0
+
+        from asx.oracle import _Counter, _phi_integral
+
+        count = _Counter()
+        p = ObservationPoint(40000, 0, 1)
+        value = _phi_integral(constant(), 1.0, 0.0, p, 1.0, 1e-7, count)
+        assert count.n == 2 * (1 << 16)
+        assert count.capped == 0
+        assert abs(value - 2 * math.pi * j0(40000.0)) < 1e-12
 
 
 class TestDivergenceDetection:
