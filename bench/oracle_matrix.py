@@ -1,0 +1,175 @@
+"""Oracle cost and accuracy on a fixed matrix, one checkout against another.
+
+    python bench/oracle_matrix.py --before OTHER_CHECKOUT --out BENCH.json
+
+Runs ``oracle_eval`` (rel_tol 1e-7, k0 = 1, azimuth 0.4) on 27 cases:
+the spectra weyl, gauss (gaussian(2)) and tweyl (a parsed translated
+Weyl) of perfbench/reference.py, theta in {1, .7, .3}, k0*r in
+{20, 100, 300}.  Each case records seconds, ``evaluations``,
+``est_error``, ``converged`` and the true error where an exact form
+exists (the two Weyl spectra are spherical waves, also from
+perfbench/reference.py).  It also runs the 72-case honesty grid, exact
+Weyl at theta in {1, .9, .7, .5, .3, .15}, k0*r in {5, 20, 80, 250} and
+rel_tol in {1e-4, 1e-7, 1e-10}, and keeps the worst ratio of true error
+to ``est_error``.
+
+The asx under OTHER_CHECKOUT/src ("before") and the one beside this
+script ("after") each run in a fresh interpreter, alternating, REPEATS
+times; a case keeps its fastest time.  Needs only the standard library
+and what asx itself imports (numpy).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "perfbench"))
+import reference  # noqa: E402  (spectra and exact values, apart from asx)
+
+SPECTRA = ("weyl", "gauss", "tweyl")  # keys of reference.SPECTRA
+EXACT = ("weyl", "tweyl")  # spectra with a closed-form true value
+REPEATS = 3
+THETAS = (1.0, 0.7, 0.3)
+K0RS = (20.0, 100.0, 300.0)
+AZIMUTH = 0.4
+HONESTY = {
+    "theta": (1.0, 0.9, 0.7, 0.5, 0.3, 0.15),
+    "k0r": (5.0, 20.0, 80.0, 250.0),
+    "rel_tol": (1e-4, 1e-7, 1e-10),
+}
+
+
+def exact(key: str, p) -> complex:
+    return reference.true_value(key, p.x, p.y, p.z, 1.0)[0]
+
+
+def measure(src: str) -> dict:
+    """Run the matrix and the honesty grid on the asx found in src."""
+    sys.path.insert(0, src)
+    from asx import QuadratureConfig, builtin_spectrum, oracle_eval, parse_spectrum, weyl
+    from asx.harness import point_from_parameters
+
+    cases = []
+    for key in SPECTRA:
+        builtin, expr = reference.SPECTRA[key]
+        f = builtin_spectrum(builtin) if builtin else parse_spectrum(expr)
+        for theta in THETAS:
+            for k0r in K0RS:
+                p = point_from_parameters(theta, k0r, 1.0, AZIMUTH)
+                start = time.perf_counter()
+                res = oracle_eval(f, p, 1.0)
+                seconds = time.perf_counter() - start
+                cases.append(
+                    {
+                        "spectrum": key,
+                        "theta": theta,
+                        "k0r": k0r,
+                        "seconds": seconds,
+                        "value": [res.value.real, res.value.imag],
+                        "evaluations": res.evaluations,
+                        "est_error": res.est_error,
+                        "true_error": abs(res.value - exact(key, p)) if key in EXACT else None,
+                        "converged": res.converged,
+                    }
+                )
+    ratios = []
+    start = time.perf_counter()
+    for theta in HONESTY["theta"]:
+        for k0r in HONESTY["k0r"]:
+            for rel_tol in HONESTY["rel_tol"]:
+                p = point_from_parameters(theta, k0r, 1.0, AZIMUTH)
+                res = oracle_eval(weyl(), p, 1.0, QuadratureConfig(rel_tol=rel_tol))
+                ratios.append(abs(res.value - exact("weyl", p)) / res.est_error)
+    return {
+        "cases": cases,
+        "honesty": {
+            "cases": len(ratios),
+            "worst_ratio": max(ratios),
+            "seconds": time.perf_counter() - start,
+        },
+    }
+
+
+def run_side(src: Path) -> dict:
+    proc = subprocess.run(
+        [sys.executable, __file__, "--measure", str(src)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def combine(runs: list[dict]) -> dict:
+    """Fastest time per case over the runs of one side; the other fields
+    are deterministic and taken from the first run."""
+    first = runs[0]
+    for i, case in enumerate(first["cases"]):
+        case["seconds"] = min(run["cases"][i]["seconds"] for run in runs)
+    first["honesty"]["seconds"] = min(run["honesty"]["seconds"] for run in runs)
+    first["matrix_seconds"] = sum(case["seconds"] for case in first["cases"])
+    return first
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--measure", metavar="SRC", help=argparse.SUPPRESS)
+    parser.add_argument("--before", type=Path, help="checkout to compare against")
+    parser.add_argument("--out", type=Path, help="JSON file (default: stdout)")
+    args = parser.parse_args(argv)
+    if args.measure:
+        json.dump(measure(args.measure), sys.stdout)
+        return 0
+    if args.before is None:
+        parser.error("--before is required")
+
+    sides = {"before": args.before.resolve() / "src", "after": REPO / "src"}
+    runs: dict[str, list[dict]] = {side: [] for side in sides}
+    for _ in range(REPEATS):
+        for side, src in sides.items():
+            runs[side].append(run_side(src))
+    before, after = combine(runs["before"]), combine(runs["after"])
+
+    for b, a in zip(before["cases"], after["cases"]):
+        vb, va = complex(*b["value"]), complex(*a["value"])
+        a["value_rel_change"] = abs(va - vb) / abs(vb)
+        a["evaluations_change"] = a["evaluations"] / b["evaluations"] - 1.0
+    report = {
+        "matrix": "oracle_eval, rel_tol 1e-7, k0 1, azimuth 0.4; "
+        + f"theta {list(THETAS)}; k0r {list(K0RS)}",
+        "spectra": {key: reference.SPECTRA[key][0] or reference.SPECTRA[key][1] for key in SPECTRA},
+        "host": f"{platform.machine()}, Python {platform.python_version()}",
+        "timing": f"{REPEATS} alternating runs per side, fastest time per case",
+        "before": before,
+        "after": after,
+        "summary": {
+            "matrix_seconds": [before["matrix_seconds"], after["matrix_seconds"]],
+            "honesty_worst_ratio": [
+                before["honesty"]["worst_ratio"],
+                after["honesty"]["worst_ratio"],
+            ],
+            "max_value_rel_change": max(a["value_rel_change"] for a in after["cases"]),
+            "max_evaluations_change": max(a["evaluations_change"] for a in after["cases"]),
+            "converged_unchanged": all(
+                a["converged"] == b["converged"]
+                for a, b in zip(after["cases"], before["cases"])
+            ),
+        },
+    }
+    text = json.dumps(report, indent=1) + "\n"
+    if args.out:
+        args.out.write_text(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -18,7 +18,13 @@ design optimizes for controlled error rather than speed:
 * both legs share one heap of adaptive Gauss-Legendre panels (interior
   nodes, so the branch circle itself is never evaluated), refined
   worst-first until the summed panel error estimate meets
-  rel_tol * |value|.
+  rel_tol * |value|;
+* one panel is one (nodes x phi) block, doubled row by row: the radial
+  nodes of both Gauss rules take their azimuthal trapezoids together,
+  each row freezing once it passes its doubling test, and the spectrum
+  sees at most _BLOCK_ELEMENTS elements per call (one row if wider).
+  A trapezoid stopped at its node cap ends the refinement, since the
+  value cannot converge.
 
 Cost grows roughly quadratically with k0*r, so the oracle refuses
 k0*r above ORACLE_K0R_ENVELOPE.  Identical inputs produce identical
@@ -51,6 +57,9 @@ _PANEL_NODES = 16  # Gauss-Legendre size per panel; error gauged against 2x
 # grazing for the oracle.
 _MAX_PHI_BANDWIDTH = float(1 << 18)
 _MAX_PHI_NODES = 1 << 15  # azimuthal doubling stops here, flagged unless passed
+# Complex elements per spectrum call over a block: 32 KB arrays, so that a
+# call's temporaries stay near those of the widest single rings
+_BLOCK_ELEMENTS = 1 << 11
 _PROP, _EVAN = 0, 1  # legs of the kz contour: kz in [0, k0], then kz = i*s
 
 
@@ -120,78 +129,103 @@ class _Counter:
         self.capped = 0
 
 
-def _ring(f, krho, kz, p: ObservationPoint, k0: float, phi, count: _Counter):
-    """f * exp(i*(kx*x + ky*y)) at azimuths phi on the circle k_rho."""
-    kx = krho * np.cos(phi)
-    ky = krho * np.sin(phi)
-    count.n += kx.size
-    return f.evaluate(kx, ky, np.broadcast_to(kz, kx.shape), k0) * np.exp(
-        1j * (kx * p.x + ky * p.y)
-    )
+def _block_means(f, krho, kz, p: ObservationPoint, k0: float, phi, count: _Counter):
+    """Mean of f * exp(i*(kx*x + ky*y)) over the azimuths phi on each circle
+    krho[j] (at kz[j]), and the largest modulus on it.  Rows go to the
+    spectrum in blocks of at most _BLOCK_ELEMENTS elements, one row at least."""
+    cos, sin = np.cos(phi), np.sin(phi)
+    means = np.empty(krho.size, dtype=complex)
+    peaks = np.empty(krho.size)
+    step = max(1, _BLOCK_ELEMENTS // phi.size)
+    for lo in range(0, krho.size, step):
+        rows = slice(lo, lo + step)
+        kx = krho[rows, None] * cos
+        ky = krho[rows, None] * sin
+        count.n += kx.size
+        # in place, so a block holds its spectrum call and one array more
+        g = 1j * (kx * p.x + ky * p.y)
+        np.exp(g, out=g)
+        g *= f.evaluate(kx, ky, np.broadcast_to(kz[rows, None], kx.shape), k0)
+        means[rows] = g.mean(axis=1)
+        peaks[rows] = np.abs(g).max(axis=1)
+    return means, peaks
 
 
-def _phi_integral(
+def _phi_integrals(
     f: SpectrumFunction,
-    krho: float,
-    kz: complex,
+    krho: np.ndarray,
+    kz: np.ndarray,
     p: ObservationPoint,
     k0: float,
     rel_tol: float,
     count: _Counter,
-) -> complex:
-    """Azimuthal integral of f * exp(i*(kx*x + ky*y)) at fixed k_rho, kz.
+) -> np.ndarray:
+    """Azimuthal integrals of f * exp(i*(kx*x + ky*y)), one per row (k_rho, kz).
 
     The integrand is smooth and 2*pi-periodic, so the trapezoid rule
     converges spectrally once the node count exceeds the Bessel-type
-    bandwidth k_rho*rho_xy of the phase factor.  Each doubling reuses all
-    previous nodes; at least one doubling test runs, and a test still
-    failing at _MAX_PHI_NODES is counted in ``count.capped``.
+    bandwidth k_rho*rho_xy of the phase factor.  Rows that start from the
+    same node count form one (rows x phi) block, doubled together; each
+    doubling reuses all previous nodes, a row that passes its test is
+    frozen and leaves the block, at least one doubling test runs, and a
+    row still failing at _MAX_PHI_NODES is counted in ``count.capped``.
     """
     rho = p.rho_xy
     if rho == 0.0 and f.radial:
-        count.n += 1
-        return 2.0 * math.pi * f.evaluate(krho, 0.0, kz, k0)
+        count.n += krho.size
+        return 2.0 * math.pi * f.evaluate(krho, np.zeros(krho.shape), kz, k0)
 
     bandwidth = krho * rho
-    if not bandwidth <= _MAX_PHI_BANDWIDTH:
+    widest = float(np.max(bandwidth))
+    if not widest <= _MAX_PHI_BANDWIDTH:
         raise DomainError(
-            f"azimuthal bandwidth k_rho*rho_xy = {bandwidth:.3g} is beyond the "
+            f"azimuthal bandwidth k_rho*rho_xy = {widest:.3g} is beyond the "
             "oracle's reach: the observation point is too close to grazing"
         )
-    n = 1 << int(np.ceil(np.log2(bandwidth + 32)))
-    g = _ring(f, krho, kz, p, k0, 2.0 * math.pi * np.arange(n) / n, count)
-    value = 2.0 * math.pi * np.mean(g)
-    gmax = float(np.max(np.abs(g)))
+    # rows by starting node count; plain Python, since the first call of
+    # np.unique or of an integer == costs RSS out of proportion to 48 rows
+    blocks: dict[int, list[int]] = {}
+    for row, log_n in enumerate(np.ceil(np.log2(bandwidth + 32)).astype(int).tolist()):
+        blocks.setdefault(1 << log_n, []).append(row)
     # noise floor for the radial error estimator sitting on top of this
     phi_rel = rel_tol / 30.0
-    while True:
-        gm = _ring(f, krho, kz, p, k0, 2.0 * math.pi * (np.arange(n) + 0.5) / n, count)
-        refined = 0.5 * (value + 2.0 * math.pi * np.mean(gm))
-        gmax = max(gmax, float(np.max(np.abs(gm))))
-        change = abs(refined - value)
-        value = refined
-        n *= 2
-        if change <= phi_rel * (abs(value) + 1e-3 * 2.0 * math.pi * gmax):
-            return complex(value)
-        if n >= _MAX_PHI_NODES:
-            count.capped += 1
-            return complex(value)
+    out = np.empty(krho.size, dtype=complex)
+    for n, block in sorted(blocks.items()):
+        rows = np.array(block)
+        phi = 2.0 * math.pi * np.arange(n) / n
+        mean, gmax = _block_means(f, krho[rows], kz[rows], p, k0, phi, count)
+        value = 2.0 * math.pi * mean
+        while True:
+            phi = 2.0 * math.pi * (np.arange(n) + 0.5) / n
+            mean, peak = _block_means(f, krho[rows], kz[rows], p, k0, phi, count)
+            refined = 0.5 * (value + 2.0 * math.pi * mean)
+            gmax = np.maximum(gmax, peak)
+            floor = phi_rel * (np.abs(refined) + 1e-3 * 2.0 * math.pi * gmax)
+            failed = ~(np.abs(refined - value) <= floor)
+            out[rows] = refined
+            n *= 2
+            if not failed.any():
+                break
+            if n >= _MAX_PHI_NODES:
+                count.capped += int(np.count_nonzero(failed))
+                break
+            rows, value, gmax = rows[failed], refined[failed], gmax[failed]
+    return out
 
 
 def _panel(h, a: float, b: float) -> tuple[complex, float]:
     """Value of h over [a, b] by 2*_PANEL_NODES-point Gauss-Legendre, and
-    its distance from the _PANEL_NODES-point rule as the error."""
+    its distance from the _PANEL_NODES-point rule as the error; h takes
+    the nodes of both rules in one array."""
+    coarse_nodes, coarse_weights = _leggauss(_PANEL_NODES)
+    fine_nodes, fine_weights = _leggauss(2 * _PANEL_NODES)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-
-    def quad(nodes: int) -> complex:
-        total = 0.0 + 0.0j
-        for ti, wi in zip(*_leggauss(nodes)):
-            total += wi * h(mid + half * ti)
-        return half * total
-
-    coarse = quad(_PANEL_NODES)
-    fine = quad(2 * _PANEL_NODES)
-    return fine, abs(fine - coarse)
+    values = h(mid + half * np.concatenate((coarse_nodes, fine_nodes)))
+    # weighted sums by numpy's own reduction: the first np.dot faults
+    # 128 KB of BLAS code into the resident set
+    coarse = half * (coarse_weights * values[:_PANEL_NODES]).sum()
+    fine = half * (fine_weights * values[_PANEL_NODES:]).sum()
+    return complex(fine), float(abs(fine - coarse))
 
 
 def _leg_sums(heap) -> tuple[list[complex], list[float]]:
@@ -213,8 +247,11 @@ def _evanescent_cutoff(
         raise ConfigError(f"k_max must exceed k0, got k_max={cfg.k_max} with k0={k0}")
     s_cap = math.sqrt((cfg.k_max - k0) * (cfg.k_max + k0))
     s_max = min(math.log(10.0 / cfg.rel_tol) / p.z, s_cap)
-    # k_rho at the cutoff must stay finite (s_max is infinite for denormal z)
-    if not math.isfinite(k0 * k0 + s_max * s_max):
+    # k_rho at the cutoff must stay finite (s_max is infinite for denormal z),
+    # and so must the 1/z^2 of the tail bound (z^2 underflows below ~1e-154,
+    # also when k_max keeps s_max finite)
+    z_sq = p.z * p.z
+    if not (math.isfinite(k0 * k0 + s_max * s_max) and z_sq > 0.0 and 1.0 / z_sq < math.inf):
         raise DomainError(
             f"evanescent cutoff s = {s_max:.3g} is out of range at z = {p.z:g}: "
             "the observation point is too close to the z = 0 plane for the oracle"
@@ -272,15 +309,15 @@ def oracle_eval(
     s_max, s_cap = _evanescent_cutoff(p, k0, cfg)
     count = _Counter()
 
-    def h_prop(kz: float) -> complex:
-        krho = math.sqrt(max(k0 * k0 - kz * kz, 0.0))
-        phi_int = _phi_integral(f, krho, kz, p, k0, cfg.rel_tol, count)
+    def h_prop(kz: np.ndarray) -> np.ndarray:
+        krho = np.sqrt(np.maximum(k0 * k0 - kz * kz, 0.0))
+        phi_int = _phi_integrals(f, krho, kz, p, k0, cfg.rel_tol, count)
         return kz * np.exp(1j * kz * p.z) * phi_int
 
-    def h_evan(s: float) -> complex:
-        krho = math.sqrt(k0 * k0 + s * s)
-        phi_int = _phi_integral(f, krho, 1j * s, p, k0, cfg.rel_tol, count)
-        return s * math.exp(-s * p.z) * phi_int
+    def h_evan(s: np.ndarray) -> np.ndarray:
+        krho = np.sqrt(k0 * k0 + s * s)
+        phi_int = _phi_integrals(f, krho, 1j * s, p, k0, cfg.rel_tol, count)
+        return s * np.exp(-s * p.z) * phi_int
 
     legs = (h_prop, h_evan)
     # worst-first; on equal errors the propagating leg, then the left edge
@@ -308,6 +345,10 @@ def oracle_eval(
         total = values[_PROP] + values[_EVAN]
         err = errors[_PROP] + errors[_EVAN] + tail
         best_err = min(best_err, err)
+        # a trapezoid stopped at its cap leaves the value unconverged
+        # whatever the radial panels do, so refining them is wasted
+        if count.capped:
+            break
         if err <= cfg.rel_tol * abs(total) or err < 1e-300:
             break
         if len(heap) >= cfg.max_panels:

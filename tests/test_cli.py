@@ -423,6 +423,8 @@ BAD_INPUTS = [
     ("oracle --spectrum weyl --point 3,0,1e-300", 3, 0),
     ("oracle --spectrum weyl --point 1e300,0,1e300", 2, 0),
     ("oracle --spectrum weyl --point 3,0,1e-150", 3, 0),
+    ("oracle --spectrum weyl --point 3,0,1e-300 --kmax 2", 3, 0),
+    ("oracle --spectrum weyl --point 3,0,1e-160 --kmax 2", 3, 0),
     ("oracle --spectrum weyl --point 3,0,4 --kmax 1e200", 0, 1),
     ("compare --spectrum weyl --theta 1 --k0r-grid 20:100:4:log --out {missing}", 2, 0),
     ("eval --spectrum weyl --point 3,0,4 --out {missing}", 2, 0),
@@ -465,6 +467,54 @@ def test_eval_exit_code_is_documented_for_any_k0_and_point(spectrum, k0, point):
         code = main(argv)
     assert code in (0, 2, 3, 4)
     if code == 0:
+        row = json.loads(out.getvalue())
+        numbers = [v for v in row.values() if not isinstance(v, bool)]
+        assert all(math.isfinite(v) for v in numbers), row
+
+
+def polar_point(r, theta, azimuth):
+    rho = r * math.sqrt(1.0 - theta * theta)
+    return f"{rho * math.cos(azimuth)!r},{rho * math.sin(azimuth)!r},{r * theta!r}"
+
+
+# k0*r <= 30 at k0 = 1.  Polar angles stay above theta = 0.2: the oracle's
+# cost grows with the bandwidth k_rho*rho_xy ~ rho/z near grazing, where
+# BAD_INPUTS pins the exit codes instead.
+ORACLE_POINTS = st.one_of(
+    st.builds(
+        polar_point,
+        r=st.floats(1e-3, 30.0),
+        theta=st.floats(0.2, 1.0),
+        azimuth=st.floats(0.0, 2 * math.pi),
+    ),
+    st.sampled_from(["nan,0,1", "0,inf,1", "1,0,0", "1,0,-2", "1,2", "3,0,1e-300"]),
+)
+ODD = [0.0, -1e-7, math.nan, math.inf, 1e200]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    spectrum=st.sampled_from(
+        [
+            ["--spectrum", "weyl"],
+            ["--spectrum", "constant"],
+            ["--spectrum", "gaussian(2)"],
+            ["--spectrum-expr", "i/(2*pi*kz)"],
+        ]
+    ),
+    point=ORACLE_POINTS,
+    tol=st.one_of(st.floats(1e-12, 1e-2), st.sampled_from([1e-13, 0.1, *ODD])),
+    kmax=st.one_of(st.none(), st.floats(0.5, 100.0), st.sampled_from([1.0, *ODD])),
+)
+def test_oracle_exit_code_is_documented_for_any_point_tol_and_kmax(spectrum, point, tol, kmax):
+    argv = ["oracle", *spectrum, f"--point={point}", f"--tol={tol!r}"]
+    if kmax is not None:
+        argv.append(f"--kmax={kmax!r}")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    if out.getvalue():
         row = json.loads(out.getvalue())
         numbers = [v for v in row.values() if not isinstance(v, bool)]
         assert all(math.isfinite(v) for v in numbers), row

@@ -247,11 +247,12 @@ class TestAzimuthalPaths:
         # sqrt(kx) has a branch point on the ring, so the trapezoid
         # converges only algebraically and reaches the cap unpassed
         from asx import parse_spectrum
-        from asx.oracle import _MAX_PHI_NODES, _Counter, _phi_integral
+        from asx.oracle import _MAX_PHI_NODES, _Counter, _phi_integrals
 
         count = _Counter()
         p = ObservationPoint(0, 0, 5)
-        _phi_integral(parse_spectrum("sqrt(kx)"), 0.7, 0.7, p, 1.0, 1e-7, count)
+        row = np.array([0.7])
+        _phi_integrals(parse_spectrum("sqrt(kx)"), row, row, p, 1.0, 1e-7, count)
         assert count.capped == 1
         assert count.n == _MAX_PHI_NODES
 
@@ -260,14 +261,75 @@ class TestAzimuthalPaths:
         # still checks them
         from scipy.special import j0
 
-        from asx.oracle import _Counter, _phi_integral
+        from asx.oracle import _Counter, _phi_integrals
 
         count = _Counter()
         p = ObservationPoint(40000, 0, 1)
-        value = _phi_integral(constant(), 1.0, 0.0, p, 1.0, 1e-7, count)
+        (value,) = _phi_integrals(
+            constant(), np.array([1.0]), np.array([0.0]), p, 1.0, 1e-7, count
+        )
         assert count.n == 2 * (1 << 16)
         assert count.capped == 0
         assert abs(value - 2 * math.pi * j0(40000.0)) < 1e-12
+
+    def test_rows_of_different_bandwidths_converge_row_by_row(self):
+        # bandwidths 1.5 to 600 start from 64 to 1024 nodes in one call
+        from scipy.special import j0
+
+        from asx.oracle import _Counter, _phi_integrals
+
+        count = _Counter()
+        p = ObservationPoint(18, 24, 2)
+        krho = np.geomspace(0.05, 20.0, 40)
+        values = _phi_integrals(
+            constant(), krho, np.zeros(krho.size), p, 1.0, 1e-7, count
+        )
+        assert count.capped == 0
+        assert np.max(np.abs(values - 2 * math.pi * j0(krho * 30.0))) < 1e-12
+        # each row stops where it would stop alone
+        alone = _Counter()
+        for k in krho:
+            row = np.array([k])
+            (value,) = _phi_integrals(constant(), row, row * 0.0, p, 1.0, 1e-7, alone)
+            assert value == pytest.approx(values[krho == k][0], rel=1e-14, abs=1e-15)
+        assert count.n == alone.n
+
+    def test_spectrum_calls_stay_within_one_block(self):
+        # every call holds at most _BLOCK_ELEMENTS <= 2^13 elements, or one
+        # row wider than that
+        from asx.oracle import _BLOCK_ELEMENTS
+
+        assert _BLOCK_ELEMENTS <= 1 << 13
+
+        calls = []
+        inner = weyl()
+
+        def recording(kx, ky, kz, k0):
+            calls.append((np.size(kx), np.shape(kx)[-1]))
+            return inner.evaluate(kx, ky, kz, k0)
+
+        probe = SpectrumFunction(label="probe", radial=False, _fn=recording)
+        oracle_eval(probe, ObservationPoint(28, 0, 12), 1.0)
+        # k_max puts the last rows at bandwidth ~1.2e4, beyond one block
+        oracle_eval(
+            probe,
+            ObservationPoint(10, 0, 0.01),
+            1.0,
+            QuadratureConfig(k_max=1200.0, max_panels=16),
+        )
+        assert all(size <= max(_BLOCK_ELEMENTS, n) for size, n in calls)
+        assert any(size > n for size, n in calls)
+        assert any(n > _BLOCK_ELEMENTS for _, n in calls)
+
+    def test_azimuthal_cap_stops_the_radial_refinement(self):
+        # once a trapezoid is capped the value cannot converge, so no
+        # further radial panel is split for it
+        from asx import parse_spectrum
+
+        res = oracle_eval(parse_spectrum("sqrt(kx)"), ObservationPoint(0, 0, 5), 1.0)
+        assert not res.converged
+        assert "azimuthal cap" in res.limit
+        assert res.evaluations < 30_000_000
 
 
 class TestDivergenceDetection:
