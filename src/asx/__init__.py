@@ -13,7 +13,6 @@ from .asymptotics import (
     leading_order,
     local_sdp_integral,
     quadratic_coeffs,
-    validity_threshold,
 )
 from .errors import (
     AsxError,
@@ -32,7 +31,6 @@ from .harness import (
     emit,
     fit_convergence_slope,
     point_from_parameters,
-    read_csv_records,
     run_sweep,
     validity_map,
 )
@@ -92,10 +90,8 @@ __all__ = [
     "parse_spectrum",
     "point_from_parameters",
     "quadratic_coeffs",
-    "read_csv_records",
     "run_sweep",
     "saddle_point",
     "validity_map",
-    "validity_threshold",
     "weyl",
 ]

@@ -47,7 +47,6 @@ __all__ = [
     "gaussian_closed_form",
     "leading_order",
     "local_sdp_integral",
-    "validity_threshold",
 ]
 
 
@@ -118,11 +117,6 @@ def gaussian_closed_form(q: QuadraticForm, k0r: float) -> float:
             "grazing observation z = 0 is outside the domain"
         )
     return math.pi / (k0r * math.sqrt(det))
-
-
-def validity_threshold(k0: float, r: float) -> float:
-    """Minimum direction cosine ``theta0 = (k0*r)**-0.5``."""
-    return 1.0 / math.sqrt(require_positive("k0", k0) * require_positive("r", r))
 
 
 def leading_order(

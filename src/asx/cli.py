@@ -139,8 +139,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     k0rs = _parse_grid(args.k0r_grid, "--k0r-grid")
     if len(k0rs) < 4:
         raise ConfigError("--k0r-grid needs at least 4 points for a slope fit")
-    if not (0.0 < args.theta <= 1.0):
-        raise ConfigError(f"--theta must lie in (0, 1], got {args.theta}")
     cfg = _sweep_config(args, [args.theta], k0rs)
     records = harness.run_sweep(cfg)
     usable = [rec.rel_error for rec in records if not rec.failed]
@@ -157,8 +155,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_validity_map(args: argparse.Namespace) -> int:
     thetas = _parse_grid(args.theta_grid, "--theta-grid")
-    if any(t > 1.0 for t in thetas):
-        raise ConfigError("--theta-grid values must lie in (0, 1]")
     cfg = _sweep_config(args, thetas, [args.k0r])
     records = harness.validity_map(cfg)
     harness.emit(records, args.format or "csv", args.out)

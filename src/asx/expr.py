@@ -125,7 +125,6 @@ def _tokenize(src: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, src: str):
-        self.src = src
         self.tokens = _tokenize(src)
         self.at = 0
 
@@ -146,13 +145,11 @@ class _Parser:
             expected=expected,
         )
 
-    def expect_op(self, op: str):
+    def expect_close(self):
         tok = self.peek()
-        if tok.kind != "op" or tok.text != op:
-            if op == ")":
-                self.fail("unbalanced parenthesis", tok, (f"'{op}'",))
-            self.fail("syntax error", tok, (f"'{op}'",))
-        return self.advance()
+        if tok.kind != "op" or tok.text != ")":
+            self.fail("unbalanced parenthesis", tok, ("')'",))
+        self.advance()
 
     def parse(self) -> Node:
         node = self.sum()
@@ -229,7 +226,7 @@ class _Parser:
                     )
                 self.advance()
                 arg = self.sum()
-                self.expect_op(")")
+                self.expect_close()
                 return Call(tok.text, arg)
             if tok.text in VARIABLES or tok.text in CONSTANTS:
                 return Name(tok.text)
@@ -241,7 +238,7 @@ class _Parser:
         if tok.kind == "op" and tok.text == "(":
             self.advance()
             node = self.sum()
-            self.expect_op(")")
+            self.expect_close()
             return node
         self.fail("syntax error", tok, ("number", "identifier", "'('", "'-'"))
 

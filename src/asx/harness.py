@@ -22,7 +22,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -42,7 +42,6 @@ __all__ = [
     "emit",
     "serialize",
     "write",
-    "read_csv_records",
     "CSV_FIELDS",
 ]
 
@@ -98,8 +97,9 @@ class SweepConfig:
         require_positive("k0", self.k0)
         if not self.theta_values or not self.k0r_values:
             raise ConfigError("theta_values and k0r_values must be nonempty")
-        if any(not (0.0 < t <= 1.0) for t in self.theta_values):
-            raise ConfigError("theta values must lie in (0, 1]")
+        for t in self.theta_values:
+            if not (0.0 < t <= 1.0):
+                raise ConfigError(f"theta values must lie in (0, 1], got {t}")
         for v in self.k0r_values:
             require_positive("k0r", v)
         if not math.isfinite(self.azimuth):
@@ -254,15 +254,13 @@ def serialize(
     return "\n".join(lines) + "\n"
 
 
-def write(text: str, destination: str | Path | IO[str] | None = None) -> None:
-    """Write ``text`` to a path, an open text stream, or None/'-' for stdout.
+def write(text: str, destination: str | Path | None = None) -> None:
+    """Write ``text`` to a path, or None/'-' for stdout.
 
     A path that cannot be written is a :class:`~asx.errors.ConfigError`.
     """
     if destination is None or destination == "-":
         sys.stdout.write(text)
-    elif hasattr(destination, "write"):
-        destination.write(text)
     else:
         try:
             Path(destination).write_text(text, encoding="utf-8")
@@ -289,7 +287,7 @@ def _record_row(rec: ComparisonRecord) -> dict[str, float]:
 def emit(
     records: Sequence[ComparisonRecord],
     fmt: str = "csv",
-    destination: str | Path | IO[str] | None = None,
+    destination: str | Path | None = None,
     trailer: str | float | None = None,
 ) -> None:
     """Write records as CSV or as JSON lines ("obj") with the same fields.
@@ -299,24 +297,3 @@ def emit(
     """
     write(serialize(CSV_FIELDS, map(_record_row, records), fmt, trailer), destination)
 
-
-def read_csv_records(source: str | Path) -> list[dict[str, float]]:
-    """Parse CSV produced by :func:`emit` back into per-row field dicts.
-
-    ``source`` is a path, or the CSV text itself if it contains a newline.
-    Comment lines (leading '#') are skipped.  Values parse back to the
-    exact doubles that were written.
-    """
-    if isinstance(source, str) and "\n" in source:
-        text = source
-    else:
-        text = Path(source).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines:
-        return []
-    header = lines[0].split(",")
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        rows.append({name: float(val) for name, val in zip(header, parts)})
-    return rows

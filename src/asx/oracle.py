@@ -175,17 +175,10 @@ def _phi_integrals(
         count.n += krho.size
         return 2.0 * math.pi * f.evaluate(krho, np.zeros(krho.shape), kz, k0)
 
-    bandwidth = krho * rho
-    widest = float(np.max(bandwidth))
-    if not widest <= _MAX_PHI_BANDWIDTH:
-        raise DomainError(
-            f"azimuthal bandwidth k_rho*rho_xy = {widest:.3g} is beyond the "
-            "oracle's reach: the observation point is too close to grazing"
-        )
     # rows by starting node count; plain Python, since the first call of
     # np.unique or of an integer == costs RSS out of proportion to 48 rows
     blocks: dict[int, list[int]] = {}
-    for row, log_n in enumerate(np.ceil(np.log2(bandwidth + 32)).astype(int).tolist()):
+    for row, log_n in enumerate(np.ceil(np.log2(krho * rho + 32)).astype(int).tolist()):
         blocks.setdefault(1 << log_n, []).append(row)
     # noise floor for the radial error estimator sitting on top of this
     phi_rel = rel_tol / 30.0
@@ -259,6 +252,18 @@ def _evanescent_cutoff(
     return s_max, s_cap
 
 
+def _check_bandwidth(p: ObservationPoint, k0: float, s_max: float) -> None:
+    """Refuse a cutoff whose widest ring, k_rho = sqrt(k0^2 + s_max^2), has
+    an azimuthal bandwidth k_rho*rho_xy beyond _MAX_PHI_BANDWIDTH; every
+    radial row of both legs lies on or inside that ring."""
+    widest = math.sqrt(k0 * k0 + s_max * s_max) * p.rho_xy
+    if not widest <= _MAX_PHI_BANDWIDTH:
+        raise DomainError(
+            f"azimuthal bandwidth k_rho*rho_xy = {widest:.3g} is beyond the "
+            "oracle's reach: the observation point is too close to grazing"
+        )
+
+
 def _tail_bound(f, p, k0, s_max, count) -> float:
     """Upper bound on the discarded evanescent tail beyond s_max:
     2*pi * max|f| * exp(-s_max*z) * ((s_max + k0)/z + 1/z^2), with max|f|
@@ -307,6 +312,7 @@ def oracle_eval(
             f"k0*r <= {ORACLE_K0R_ENVELOPE:g}"
         )
     s_max, s_cap = _evanescent_cutoff(p, k0, cfg)
+    _check_bandwidth(p, k0, s_max)
     count = _Counter()
 
     def h_prop(kz: np.ndarray) -> np.ndarray:
@@ -366,6 +372,7 @@ def oracle_eval(
             if new_s_max > s_cap:
                 limit = f"the evanescent cap k_max={cfg.k_max:g}"
                 break
+            _check_bandwidth(p, k0, new_s_max)
             push_panels(_EVAN, s_max, new_s_max, 4)
             s_max = new_s_max
             tail = _tail_bound(f, p, k0, s_max, count)

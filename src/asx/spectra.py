@@ -1,8 +1,8 @@
 """Spectrum registry: builtin amplitudes and parsed user expressions.
 
 A spectrum is an evaluable complex amplitude ``f(kx, ky, kz, k0)``.  The
-``kz`` argument is always supplied by the caller (ultimately from
-:func:`asx.spectral.kz_branch`); the evaluator never recomputes the
+``kz`` argument is always supplied by the caller and follows the
+top-sheet rule of :mod:`asx.spectral`; the evaluator never recomputes the
 branch, so oracle and asymptotics cannot end up on different sheets.
 
 Builtins:
@@ -84,10 +84,7 @@ def constant() -> SpectrumFunction:
     return SpectrumFunction(
         label="constant",
         radial=True,
-        _fn=lambda kx, ky, kz, k0: np.ones(
-            np.broadcast_shapes(np.shape(kx), np.shape(ky), np.shape(kz)),
-            dtype=complex,
-        ),
+        _fn=lambda kx, ky, kz, k0: 1.0,
     )
 
 
@@ -97,9 +94,9 @@ def gaussian(w: float = 1.0) -> SpectrumFunction:
         raise ConfigError(f"gaussian width must be positive and finite, got {w}")
 
     def fn(kx, ky, kz, k0):
-        kx = np.asarray(kx, dtype=complex)
-        ky = np.asarray(ky, dtype=complex)
-        return np.exp(-w * w * (kx * kx + ky * ky) / 4.0)
+        # the exponent in real arithmetic where kx, ky are real; a complex exp
+        # keeps every value to the bit (a real one is 1 ulp off on some)
+        return np.exp(-w * w * (kx * kx + ky * ky) / 4.0, dtype=complex)
 
     return SpectrumFunction(label=f"gaussian({w:g})", radial=True, _fn=fn)
 

@@ -89,12 +89,12 @@ class SaddleData:
 def kz_branch(kx, ky, k0):
     """Longitudinal wavenumber on the top Riemann sheet.
 
-    For real ``(kx, ky)`` the branch ``Im(kz) >= 0`` is enforced: the result
-    is real nonnegative inside the circle ``kx^2 + ky^2 <= k0^2`` and purely
-    imaginary with positive imaginary part outside.  For complex arguments
-    (points of the steepest-descent path) the principal square root of
-    ``k0^2 - kx^2 - ky^2`` is returned, which is the analytic continuation
-    from the saddle; see :func:`_sdp_grid` for the certification of that claim.
+    The principal square root of ``k0^2 - kx^2 - ky^2``.  For real
+    ``(kx, ky)`` that is the branch ``Im(kz) >= 0``: real nonnegative inside
+    the circle ``kx^2 + ky^2 <= k0^2`` and purely imaginary with positive
+    imaginary part outside.  For complex arguments (points of the
+    steepest-descent path) it is the analytic continuation from the saddle;
+    see :func:`_sdp_grid` for the certification of that claim.
 
     Accepts scalars or numpy arrays.  ``kz = 0`` on the branch circle is
     returned as-is; callers handle it.
@@ -102,15 +102,7 @@ def kz_branch(kx, ky, k0):
     require_positive("k0", k0)
     kx = np.asarray(kx)
     ky = np.asarray(ky)
-    kz2 = k0 * k0 - kx * kx - ky * ky
-    if np.isrealobj(kx) and np.isrealobj(ky):
-        kz2 = np.real(kz2)
-        inside = kz2 >= 0.0
-        kz = np.where(inside, np.sqrt(np.abs(kz2)), 0.0) + 1j * np.where(
-            inside, 0.0, np.sqrt(np.abs(-kz2))
-        )
-    else:
-        kz = np.sqrt(kz2.astype(complex))
+    kz = np.sqrt(np.asarray(k0 * k0 - kx * kx - ky * ky, dtype=complex))
     if kz.ndim == 0:
         return complex(kz)
     return kz

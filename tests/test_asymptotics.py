@@ -17,7 +17,7 @@ from asx import (
     local_sdp_integral,
     parse_spectrum,
     quadratic_coeffs,
-    validity_threshold,
+    saddle_point,
     weyl,
 )
 from asx.spectra import SpectrumFunction
@@ -118,13 +118,14 @@ class TestGaussianClosedForm:
 
 class TestValidityThreshold:
     def test_values(self):
-        assert validity_threshold(1.0, 100.0) == 0.1
-        assert validity_threshold(4.0, 25.0) == 0.1
-        assert_allclose(validity_threshold(1.0, 1e6), 1e-3, rtol=1e-15)
+        assert saddle_point(ObservationPoint(0.0, 0.0, 100.0), 1.0).theta0 == 0.1
+        assert saddle_point(ObservationPoint(0.0, 0.0, 25.0), 4.0).theta0 == 0.1
+        theta0 = saddle_point(ObservationPoint(0.0, 0.0, 1e6), 1.0).theta0
+        assert_allclose(theta0, 1e-3, rtol=1e-15)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ConfigError):
-            validity_threshold(0.0, 1.0)
+            saddle_point(ObservationPoint(0.0, 0.0, 1.0), 0.0)
 
 
 class TestLeadingOrder:

@@ -1,11 +1,14 @@
 import cmath
 import contextlib
+import csv
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from asx.cli import main
+
+
+def csv_rows(text):
+    """Data rows of emitted CSV as dicts of floats, comment lines skipped."""
+    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
+    return [{k: float(v) for k, v in row.items()} for row in csv.DictReader(lines)]
 
 
 def run_main(capsys, args):
@@ -213,6 +222,16 @@ class TestOracle:
         assert json.loads(out)["converged"] is False
         assert "the 64-node azimuthal cap at " in err
 
+    def test_kmax_cap_exits_4_and_names_the_cap(self, capsys):
+        argv = "oracle --spectrum weyl --point 0,0,1 --kmax 2"
+        code, out, err = run_main(capsys, argv.split())
+        assert code == 4
+        assert len(out.splitlines()) == 1
+        assert json.loads(out)["converged"] is False
+        assert err == (
+            "oracle: stopped by the evanescent cap k_max=2 before reaching rel_tol\n"
+        )
+
 
 class TestCompare:
     def test_constant_slope_summary(self, capsys):
@@ -256,9 +275,7 @@ class TestCompare:
         assert code == 0
         lines = out.splitlines()
         assert lines[-1] == "# slope,exact"
-        from asx import read_csv_records
-
-        for row in read_csv_records("\n".join(lines[:-1])):
+        for row in csv_rows(out):
             assert row["rel_error"] < 1e-10
 
     def test_single_point_grid_exits_2(self, capsys):
@@ -312,9 +329,7 @@ class TestValidityMapCommand:
         assert code == 0
         lines = out.splitlines()
         assert len(lines) == 6
-        from asx import read_csv_records
-
-        rows = read_csv_records(out)
+        rows = csv_rows(out)
         margins = [row["validity_margin"] for row in rows]
         assert margins == sorted(margins)
 
@@ -426,6 +441,18 @@ BAD_INPUTS = [
     ("oracle --spectrum weyl --point 3,0,1e-300 --kmax 2", 3, 0),
     ("oracle --spectrum weyl --point 3,0,1e-160 --kmax 2", 3, 0),
     ("oracle --spectrum weyl --point 3,0,4 --kmax 1e200", 0, 1),
+    ("oracle --spectrum weyl --point 3,0,4 --kmax -1", 2, 0),
+    # the azimuthal bandwidth at the initial cutoff is refused before any panel
+    ("oracle --spectrum weyl --point 3,0,1e-4", 3, 0),
+    ("compare --spectrum constant --theta 0.8 --k0r-grid 20:x:4", 2, 0),
+    ("compare --spectrum constant --theta 0.8 --k0r-grid 100:20:4", 2, 0),
+    ("compare --spectrum constant --theta 0.8 --k0r-grid 20:100:0", 2, 0),
+    ("compare --spectrum constant --theta 1.5 --k0r-grid 20:100:4", 2, 0),
+    ("compare --spectrum constant --theta nan --k0r-grid 20:100:4", 2, 0),
+    ("compare --spectrum constant --theta 0 --k0r-grid 20:100:4", 2, 0),
+    ("validity-map --spectrum constant --k0r 50 --theta-grid 0.05:1.5:4", 2, 0),
+    ("eval --spectrum weyl --point 1,a,3", 2, 0),
+    ("eval --spectrum gaussian(abc) --point 1,2,3", 2, 0),
     ("compare --spectrum weyl --theta 1 --k0r-grid 20:100:4:log --out {missing}", 2, 0),
     ("eval --spectrum weyl --point 3,0,4 --out {missing}", 2, 0),
     ("parse-check --spectrum-expr kx --out {missing}", 2, 0),
@@ -518,3 +545,60 @@ def test_oracle_exit_code_is_documented_for_any_point_tol_and_kmax(spectrum, poi
         row = json.loads(out.getvalue())
         numbers = [v for v in row.values() if not isinstance(v, bool)]
         assert all(math.isfinite(v) for v in numbers), row
+
+
+def float_text(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+def grid_text(lo, hi, counts):
+    return st.builds(
+        "{0[0]!r}:{0[1]!r}:{1}{2}".format,
+        st.tuples(st.floats(lo, hi), st.floats(lo, hi)).map(sorted),
+        st.sampled_from(counts),
+        st.sampled_from(["", ":log"]),
+    )
+
+
+# Valid draws keep k0*r <= 20 and theta >= 0.2, where each oracle cell takes
+# milliseconds; at most one option then takes an odd value.
+SWEEP_OPTIONS = {
+    "compare": {"--theta": float_text(0.2, 1.0), "--k0r-grid": grid_text(1.0, 20.0, [4, 5])},
+    "validity-map": {"--k0r": float_text(1.0, 20.0), "--theta-grid": grid_text(0.2, 1.0, [3, 4])},
+}
+SHARED_OPTIONS = {
+    "--tol": float_text(1e-6, 1e-2),
+    "--azimuth": float_text(-7.0, 7.0),
+    "--k0": float_text(0.5, 2.0),
+}
+ODD_TEXT = st.sampled_from(
+    ["0", "-1", "nan", "inf", "-inf", "1e-300", "1e300", "", "x"]
+    + ["20:x:4", "100:20:4", "20:100:0", "1:2", "20:100:4:lin", "nan:20:4", "1:inf:4"]
+    + ["0:20:4", "-5:20:4", "1e-300:20:4:log", "0.05:1.5:4", "0.5:0.5:4"]
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    command=st.sampled_from(sorted(SWEEP_OPTIONS)),
+    spectrum=st.sampled_from(["weyl", "constant", "gaussian(2)"]),
+    data=st.data(),
+)
+def test_sweep_exit_code_is_documented_for_any_grid_and_option(command, spectrum, data):
+    options = data.draw(st.fixed_dictionaries({**SWEEP_OPTIONS[command], **SHARED_OPTIONS}))
+    odd = data.draw(st.none() | st.tuples(st.sampled_from(sorted(options)), ODD_TEXT))
+    if odd is not None:
+        options[odd[0]] = odd[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        # the --flag=value form keeps argparse from reading "-1" as a flag
+        argv = [command, "--spectrum", spectrum, f"--out={out}"]
+        argv += [f"{flag}={value}" for flag, value in options.items()]
+        with contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refusing a non-number
+                code = exc.code
+        assert code in (0, 2, 3, 4)
+        # a refused sweep writes nothing
+        assert code == 0 or not out.exists()

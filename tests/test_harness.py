@@ -1,4 +1,4 @@
-import io
+import csv
 import math
 
 import numpy as np
@@ -16,13 +16,17 @@ from asx import (
     emit,
     fit_convergence_slope,
     point_from_parameters,
-    read_csv_records,
     run_sweep,
     validity_map,
     weyl,
 )
 from asx.harness import CSV_FIELDS
 from asx.spectra import SpectrumFunction
+
+
+def csv_rows(text):
+    """Data rows of emitted CSV as dicts of floats."""
+    return [{k: float(v) for k, v in row.items()} for row in csv.DictReader(text.splitlines())]
 
 
 def synthetic_record(k0r, theta, rel_error, failed=False):
@@ -65,8 +69,9 @@ class TestSweepConfig:
             SweepConfig(constant(), 1.0, (0.5,), ())
 
     def test_theta_range_enforced(self):
-        with pytest.raises(ConfigError):
-            SweepConfig(constant(), 1.0, (1.5,), (50.0,))
+        for bad in (1.5, 0.0, -0.5, math.nan):
+            with pytest.raises(ConfigError, match=f"got {bad}"):
+                SweepConfig(constant(), 1.0, (0.5, bad), (50.0,))
 
     def test_desk_scale_envelope(self):
         with pytest.raises(ConfigError):
@@ -275,7 +280,7 @@ class TestEmit:
         record = synthetic_record(73.0, 1 / 3, 0.0123456789012345678)
         out = tmp_path / "one.csv"
         emit([record], "csv", out)
-        row = read_csv_records(out)[0]
+        row = csv_rows(out.read_text())[0]
         assert row["k0r"] == record.k0r
         assert row["theta"] == record.theta
         assert row["x"] == record.point.x
@@ -298,35 +303,38 @@ class TestEmit:
         )
         out = tmp_path / "sweep.csv"
         emit(run_sweep(cfg), "csv", out)
-        for row in read_csv_records(out):
+        for row in csv_rows(out.read_text()):
             asym = complex(row["asym_re"], row["asym_im"])
             oracle = complex(row["oracle_re"], row["oracle_im"])
             assert_allclose(
                 row["rel_error"], abs(asym - oracle) / abs(oracle), rtol=1e-15
             )
 
-    def test_obj_format_carries_the_same_fields(self):
+    def test_obj_format_carries_the_same_fields(self, tmp_path):
         import json
 
-        buffer = io.StringIO()
-        emit([synthetic_record(50.0, 0.5, 0.01)], "obj", buffer)
-        payload = json.loads(buffer.getvalue().splitlines()[0])
+        out = tmp_path / "one.obj"
+        emit([synthetic_record(50.0, 0.5, 0.01)], "obj", out)
+        payload = json.loads(out.read_text().splitlines()[0])
         assert set(payload) == set(CSV_FIELDS)
 
-    def test_obj_format_survives_flagged_records(self):
+    def test_obj_format_survives_flagged_records(self, tmp_path):
         import json
 
         flagged = synthetic_record(50.0, 0.5, math.nan, failed=True)
-        buffer = io.StringIO()
-        emit([flagged], "obj", buffer)
-        payload = json.loads(buffer.getvalue().splitlines()[0])
+        out = tmp_path / "flagged.obj"
+        emit([flagged], "obj", out)
+        payload = json.loads(out.read_text().splitlines()[0])
         assert math.isnan(payload["rel_error"])
 
-    def test_stream_destination(self):
-        buffer = io.StringIO()
-        emit([synthetic_record(50.0, 0.5, 0.01)], "csv", buffer)
-        assert buffer.getvalue().startswith("k0r,theta,")
+    def test_stream_destination(self, capsys):
+        # None and "-" both mean stdout
+        for destination in (None, "-"):
+            emit([synthetic_record(50.0, 0.5, 0.01)], "csv", destination)
+            assert capsys.readouterr().out.startswith("k0r,theta,")
 
-    def test_unknown_format_rejected(self):
+    def test_unknown_format_rejected(self, tmp_path):
+        out = tmp_path / "never.xml"
         with pytest.raises(ConfigError):
-            emit([], "xml", io.StringIO())
+            emit([], "xml", out)
+        assert not out.exists()

@@ -125,6 +125,7 @@ ROUND_TRIP_CORPUS = [
     "kx/ky/kz",
     "kx/(ky/kz)",
     "kx*(ky+kz)",
+    "(kx+ky)*kz",
     "kx*ky+kz",
     "2*pi*kz",
     "i/(2*pi*kz)",
