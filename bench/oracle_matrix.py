@@ -5,7 +5,8 @@
 Runs ``oracle_eval`` (rel_tol 1e-7, k0 = 1, azimuth 0.4) on 27 cases:
 the spectra weyl, gauss (gaussian(2)) and tweyl (a parsed translated
 Weyl) of perfbench/reference.py, theta in {1, .7, .3}, k0*r in
-{20, 100, 300}.  Each case records seconds, ``evaluations``,
+{20, 100, 300}, then weyl at three points near grazing: (299.9, 0, 0.5),
+(299.9, 0, 5) and (100, 0, 3).  Each case records seconds, ``evaluations``,
 ``est_error``, ``converged`` and the true error where an exact form
 exists (the two Weyl spectra are spherical waves, also from
 perfbench/reference.py).  It also runs the 72-case honesty grid, exact
@@ -15,7 +16,9 @@ to ``est_error``.
 
 The asx under OTHER_CHECKOUT/src ("before") and the one beside this
 script ("after") each run in a fresh interpreter, alternating, REPEATS
-times; a case keeps its fastest time.  Needs only the standard library
+times; a case keeps its fastest time.  The summary gives the range of the
+relative change in ``evaluations``, and the largest change of ``value`` in
+units of the before side's ``est_error``.  Needs only the standard library
 and what asx itself imports (numpy).
 """
 
@@ -39,6 +42,7 @@ REPEATS = 3
 THETAS = (1.0, 0.7, 0.3)
 K0RS = (20.0, 100.0, 300.0)
 AZIMUTH = 0.4
+GRAZING = ((299.9, 0.0, 0.5), (299.9, 0.0, 5.0), (100.0, 0.0, 3.0))  # weyl, (x, y, z)
 HONESTY = {
     "theta": (1.0, 0.9, 0.7, 0.5, 0.3, 0.15),
     "k0r": (5.0, 20.0, 80.0, 250.0),
@@ -53,32 +57,45 @@ def exact(key: str, p) -> complex:
 def measure(src: str) -> dict:
     """Run the matrix and the honesty grid on the asx found in src."""
     sys.path.insert(0, src)
-    from asx import QuadratureConfig, builtin_spectrum, oracle_eval, parse_spectrum, weyl
+    from asx import (
+        ObservationPoint,
+        QuadratureConfig,
+        builtin_spectrum,
+        oracle_eval,
+        parse_spectrum,
+        weyl,
+    )
     from asx.harness import point_from_parameters
 
+    points = [
+        (key, theta, k0r, point_from_parameters(theta, k0r, 1.0, AZIMUTH))
+        for key in SPECTRA
+        for theta in THETAS
+        for k0r in K0RS
+    ]
+    for p in (ObservationPoint(*xyz) for xyz in GRAZING):
+        points.append(("weyl", p.theta, p.r, p))
     cases = []
-    for key in SPECTRA:
+    for key, theta, k0r, p in points:
         builtin, expr = reference.SPECTRA[key]
         f = builtin_spectrum(builtin) if builtin else parse_spectrum(expr)
-        for theta in THETAS:
-            for k0r in K0RS:
-                p = point_from_parameters(theta, k0r, 1.0, AZIMUTH)
-                start = time.perf_counter()
-                res = oracle_eval(f, p, 1.0)
-                seconds = time.perf_counter() - start
-                cases.append(
-                    {
-                        "spectrum": key,
-                        "theta": theta,
-                        "k0r": k0r,
-                        "seconds": seconds,
-                        "value": [res.value.real, res.value.imag],
-                        "evaluations": res.evaluations,
-                        "est_error": res.est_error,
-                        "true_error": abs(res.value - exact(key, p)) if key in EXACT else None,
-                        "converged": res.converged,
-                    }
-                )
+        start = time.perf_counter()
+        res = oracle_eval(f, p, 1.0)
+        seconds = time.perf_counter() - start
+        cases.append(
+            {
+                "spectrum": key,
+                "theta": theta,
+                "k0r": k0r,
+                "point": [p.x, p.y, p.z],
+                "seconds": seconds,
+                "value": [res.value.real, res.value.imag],
+                "evaluations": res.evaluations,
+                "est_error": res.est_error,
+                "true_error": abs(res.value - exact(key, p)) if key in EXACT else None,
+                "converged": res.converged,
+            }
+        )
     ratios = []
     start = time.perf_counter()
     for theta in HONESTY["theta"]:
@@ -140,10 +157,12 @@ def main(argv: list[str] | None = None) -> int:
     for b, a in zip(before["cases"], after["cases"]):
         vb, va = complex(*b["value"]), complex(*a["value"])
         a["value_rel_change"] = abs(va - vb) / abs(vb)
+        a["value_change_over_est_error"] = abs(va - vb) / b["est_error"]
         a["evaluations_change"] = a["evaluations"] / b["evaluations"] - 1.0
+    evaluations_changes = [a["evaluations_change"] for a in after["cases"]]
     report = {
         "matrix": "oracle_eval, rel_tol 1e-7, k0 1, azimuth 0.4; "
-        + f"theta {list(THETAS)}; k0r {list(K0RS)}",
+        + f"theta {list(THETAS)}; k0r {list(K0RS)}; weyl at (x, y, z) {list(GRAZING)}",
         "spectra": {key: reference.SPECTRA[key][0] or reference.SPECTRA[key][1] for key in SPECTRA},
         "host": f"{platform.machine()}, Python {platform.python_version()}",
         "timing": f"{REPEATS} alternating runs per side, fastest time per case",
@@ -156,9 +175,12 @@ def main(argv: list[str] | None = None) -> int:
                 after["honesty"]["worst_ratio"],
             ],
             "max_value_rel_change": max(a["value_rel_change"] for a in after["cases"]),
-            "max_evaluations_change": max(a["evaluations_change"] for a in after["cases"]),
-            "converged_unchanged": all(
-                a["converged"] == b["converged"]
+            "max_value_change_over_est_error": max(
+                a["value_change_over_est_error"] for a in after["cases"]
+            ),
+            "evaluations_change": [min(evaluations_changes), max(evaluations_changes)],
+            "converged_not_worse": all(
+                a["converged"] or not b["converged"]
                 for a, b in zip(after["cases"], before["cases"])
             ),
         },

@@ -57,8 +57,8 @@ def _parse_grid(text: str, flag: str) -> list[float]:
         a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ConfigError(f"{flag} expects numeric bounds and count, got {text!r}") from None
-    if n < 1 or b <= a or a <= 0.0:
-        raise ConfigError(f"{flag} needs 0 < a < b and n >= 1, got {text!r}")
+    if n < 1 or not 0.0 < a < b < math.inf:
+        raise ConfigError(f"{flag} needs 0 < a < b < inf and n >= 1, got {text!r}")
     spacing = np.geomspace if len(parts) == 4 else np.linspace
     return [float(v) for v in spacing(a, b, n)]
 

@@ -11,24 +11,29 @@ design optimizes for controlled error rather than speed:
 * the evanescent leg is kz = i*s with s = sqrt(k_rho^2 - k0^2), so the
   weight becomes exp(-s*z) and the truncation point s_max is chosen where
   exp(-s*z) < rel_tol/10, provably below the accuracy target;
-* the azimuthal integral is a periodic trapezoid rule sized by the
-  oscillation scale k_rho*rho_xy and doubled to convergence (spectrally
-  accurate for smooth periodic integrands); on axis it collapses to
-  2*pi*f for radially symmetric spectra;
+* for a radial spectrum the azimuthal integral is exact by the Sommerfeld
+  identity, 2*pi*f(k_rho)*J0(k_rho*rho_xy), one spectrum element per
+  radial node (on axis, J0 = 1 and no Bessel call is made); J0 is an
+  in-module kernel (power series, Miller's backward recurrence, Hankel's
+  asymptotic expansion);
+* for any other (parsed) spectrum the azimuthal integral is a periodic
+  trapezoid rule sized by the oscillation scale k_rho*rho_xy and doubled
+  to convergence (spectrally accurate for smooth periodic integrands);
 * both legs share one heap of adaptive Gauss-Legendre panels (interior
   nodes, so the branch circle itself is never evaluated), refined
   worst-first until the summed panel error estimate meets
   rel_tol * |value|;
-* one panel is one (nodes x phi) block, doubled row by row: the radial
-  nodes of both Gauss rules take their azimuthal trapezoids together,
+* for the trapezoid, one panel is one (nodes x phi) block, doubled row by
+  row: the radial nodes of both Gauss rules take their trapezoids together,
   each row freezing once it passes its doubling test, and the spectrum
   sees at most _BLOCK_ELEMENTS elements per call (one row if wider).
   A trapezoid stopped at its node cap ends the refinement, since the
   value cannot converge.
 
-Cost grows roughly quadratically with k0*r, so the oracle refuses
-k0*r above ORACLE_K0R_ENVELOPE.  Identical inputs produce identical
-outputs: panels are refined and summed in a fixed deterministic order.
+Cost grows roughly linearly with k0*r on the J0 path and quadratically on
+the trapezoid, so the oracle refuses k0*r above ORACLE_K0R_ENVELOPE.
+Identical inputs produce identical outputs: panels are refined and summed
+in a fixed deterministic order.
 """
 
 from __future__ import annotations
@@ -54,13 +59,18 @@ ORACLE_K0R_ENVELOPE = 300.0  # desk-scale limit on k0*r
 _PANEL_NODES = 16  # Gauss-Legendre size per panel; error gauged against 2x
 # Beyond this azimuthal bandwidth k_rho*rho_xy the first trapezoid would need
 # more than 2^19 nodes (8 MB per complex array): the point is too close to
-# grazing for the oracle.
+# grazing for the oracle.  The wall holds for radial spectra as well, so one
+# rule decides which points the oracle refuses.
 _MAX_PHI_BANDWIDTH = float(1 << 18)
 _MAX_PHI_NODES = 1 << 15  # azimuthal doubling stops here, flagged unless passed
 # Complex elements per spectrum call over a block: 32 KB arrays, so that a
 # call's temporaries stay near those of the widest single rings
 _BLOCK_ELEMENTS = 1 << 11
 _PROP, _EVAN = 0, 1  # legs of the kz contour: kz in [0, k0], then kz = i*s
+# J0 takes its power series below the first edge (where the recurrence would
+# overflow) and Hankel's expansion from the second on
+_J0_SERIES_EDGE = 1.0
+_J0_HANKEL_EDGE = 25.0
 
 
 @dataclass(frozen=True)
@@ -118,6 +128,86 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+@functools.cache
+def _j0_coefficients() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficients made by recurrence, cut where their terms fall below
+    2^-60 at the edge of their range:
+
+    series  1/(k!)^2, the power series of J0 in -x^2/4;
+    hankel  rows (P_j, Q_j) of Hankel's expansion (A&S 9.2.5, 9.2.9),
+            J0(x) = sqrt(2/(pi*x))*(P*cos(x - pi/4) - Q*sin(x - pi/4)) with
+            P = sum P_j/x^2j, Q = sum Q_j/x^(2j+1), P_j = (-1)^j*a_2j,
+            Q_j = -(-1)^j*a_(2j+1), a_0 = 1, a_k = a_(k-1)*(2k - 1)^2/(8k);
+    reach   the x below which row j still counts, (a_2j*2^60)^(1/2j);
+            it falls with j, so the rows an x needs are a prefix.
+    """
+    series = [1.0]
+    while series[-1] * (0.25 * _J0_SERIES_EDGE**2) ** (len(series) - 1) > 2.0**-60:
+        k = len(series)
+        series.append(series[-1] / (k * k))
+    a = [1.0]
+    while a[-1] / _J0_HANKEL_EDGE ** (len(a) - 1) > 2.0**-60 or len(a) % 2:
+        k = len(a)
+        a.append(a[-1] * (2 * k - 1) ** 2 / (8 * k))
+    pairs = np.reshape(a, (-1, 2))
+    j = np.arange(1, len(pairs))
+    hankel = pairs * (-1.0) ** np.arange(len(pairs))[:, None] * [1.0, -1.0]
+    reach = np.concatenate(([math.inf], (pairs[1:, 0] * 2.0**60) ** (0.5 / j)))
+    return np.array(series), hankel, reach
+
+
+def _series_j0(x: np.ndarray) -> np.ndarray:
+    """J0 for x < _J0_SERIES_EDGE by its power series."""
+    return np.polynomial.polynomial.polyval(-0.25 * x * x, _j0_coefficients()[0])
+
+
+def _miller_j0(x: np.ndarray) -> np.ndarray:
+    """J0 for _J0_SERIES_EDGE <= x < _J0_HANKEL_EDGE by Miller's backward
+    recurrence J_{k-1} = (2k/x)*J_k - J_{k+1}, started at J_n = 1,
+    J_{n+1} = 0 from an even order n set by the largest x, and normalized
+    by J0 + 2*(J2 + J4 + ...) = 1.  The unnormalized values grow by at most
+    prod(2k/x) <= 2^n*n! < 1e105, as n <= 62; below _J0_SERIES_EDGE they
+    would overflow."""
+    top = float(x.max())
+    n = 2 * math.ceil((top + 12.0 + 8.0 * top ** (1.0 / 3.0)) / 2.0)
+    two_over_x = 2.0 / x
+    above, at = np.zeros(x.shape), np.ones(x.shape)  # J_{k+1}, J_k at k = n
+    even_sum = at.copy()  # J_n + J_{n-2} + ... down to the current k
+    for k in range(n, 0, -2):
+        odd = k * two_over_x * at - above
+        above, at = odd, (k - 1) * two_over_x * odd - at
+        even_sum += at
+    return at / (2.0 * even_sum - at)
+
+
+def _hankel_j0(x: np.ndarray) -> np.ndarray:
+    """J0 for x >= _J0_HANKEL_EDGE by Hankel's expansion, P and x*Q summed
+    together in 1/x^2 over the rows the smallest x needs."""
+    _, hankel, reach = _j0_coefficients()
+    rows = hankel[: np.count_nonzero(reach > x.min())]
+    p, xq = np.polynomial.polynomial.polyval(1.0 / (x * x), rows)
+    chi = x - 0.25 * math.pi
+    return np.sqrt(2.0 / (math.pi * x)) * (p * np.cos(chi) - xq / x * np.sin(chi))
+
+
+_J0_KERNELS = (
+    (0.0, _J0_SERIES_EDGE, _series_j0),
+    (_J0_SERIES_EDGE, _J0_HANKEL_EDGE, _miller_j0),
+    (_J0_HANKEL_EDGE, math.inf, _hankel_j0),
+)
+
+
+def _j0(x: np.ndarray) -> np.ndarray:
+    """Bessel J0 of real x >= 0, elementwise; within 1e-15 of
+    scipy.special.j0 on [0, 3e5]."""
+    out = np.empty(x.shape)
+    for lo, hi, kernel in _J0_KERNELS:
+        part = (lo <= x) & (x < hi)
+        if part.any():
+            out[part] = kernel(x[part])
+    return out
+
+
 class _Counter:
     """Spectrum evaluations, and radial nodes whose azimuthal trapezoid
     stopped at its cap without passing the doubling test."""
@@ -162,18 +252,21 @@ def _phi_integrals(
 ) -> np.ndarray:
     """Azimuthal integrals of f * exp(i*(kx*x + ky*y)), one per row (k_rho, kz).
 
-    The integrand is smooth and 2*pi-periodic, so the trapezoid rule
-    converges spectrally once the node count exceeds the Bessel-type
-    bandwidth k_rho*rho_xy of the phase factor.  Rows that start from the
-    same node count form one (rows x phi) block, doubled together; each
-    doubling reuses all previous nodes, a row that passes its test is
-    frozen and leaves the block, at least one doubling test runs, and a
-    row still failing at _MAX_PHI_NODES is counted in ``count.capped``.
+    A radial spectrum takes the Sommerfeld identity, 2*pi*f*J0(k_rho*rho_xy),
+    one spectrum element per row.  Otherwise the integrand is smooth and
+    2*pi-periodic, so the trapezoid rule converges spectrally once the node
+    count exceeds the Bessel-type bandwidth k_rho*rho_xy of the phase
+    factor.  Rows that start from the same node count form one (rows x phi)
+    block, doubled together; each doubling reuses all previous nodes, a row
+    that passes its test is frozen and leaves the block, at least one
+    doubling test runs, and a row still failing at _MAX_PHI_NODES is
+    counted in ``count.capped``.
     """
     rho = p.rho_xy
-    if rho == 0.0 and f.radial:
+    if f.radial:
         count.n += krho.size
-        return 2.0 * math.pi * f.evaluate(krho, np.zeros(krho.shape), kz, k0)
+        ring = 2.0 * math.pi * f.evaluate(krho, np.zeros(krho.shape), kz, k0)
+        return ring if rho == 0.0 else ring * _j0(krho * rho)
 
     # rows by starting node count; plain Python, since the first call of
     # np.unique or of an integer == costs RSS out of proportion to 48 rows

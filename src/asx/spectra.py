@@ -43,8 +43,9 @@ class SpectrumFunction:
     """An immutable, side-effect-free spectral amplitude.
 
     ``radial`` marks amplitudes that depend on (kx, ky) only through
-    kx^2 + ky^2; the oracle uses it to collapse the on-axis azimuthal
-    integral analytically.
+    kx^2 + ky^2; the oracle then takes the azimuthal integral exactly as
+    2*pi*f(k_rho)*J0(k_rho*rho_xy), and keeps its trapezoid for the others
+    (parsed spectra).
     """
 
     label: str

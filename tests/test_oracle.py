@@ -27,6 +27,11 @@ def constant_closed_form(p, k0=1.0):
     return -2 * math.pi * p.z * cmath.exp(1j * k0 * r) * (1j * k0 * r - 1.0) / r**3
 
 
+def unit_probe():
+    """f = 1 without the radial mark, so the oracle walks the trapezoid."""
+    return SpectrumFunction(label="unit", radial=False, _fn=lambda kx, ky, kz, k0: 1.0)
+
+
 def zero_spectrum():
     return SpectrumFunction(
         label="zero",
@@ -231,17 +236,19 @@ class TestNodeCache:
 
 
 class TestAzimuthalPaths:
-    def test_radial_fast_path_matches_general_path_on_axis(self):
-        # the builtin takes the analytic on-axis collapse, the parsed twin
-        # walks the periodic trapezoid; they must agree to rounding
-        from asx import gaussian, parse_spectrum
+    def test_radial_j0_path_matches_the_trapezoid_of_the_parsed_twin(self):
+        # the builtin takes 2*pi*f*J0 (on axis, 2*pi*f), the parsed twin
+        # walks the periodic trapezoid; they must agree within est_error
+        from asx import gaussian, parse_spectrum, point_from_parameters
 
-        p = ObservationPoint(0, 0, 12)
         cfg = QuadratureConfig(rel_tol=1e-9)
-        built = oracle_eval(gaussian(1.0), p, 1.0, cfg)
-        parsed = oracle_eval(parse_spectrum("exp(-(kx^2+ky^2)/4)"), p, 1.0, cfg)
-        assert abs(built.value - parsed.value) <= 1e-12 * abs(built.value)
-        assert built.evaluations < parsed.evaluations
+        for theta in (1.0, 0.5, 0.1):
+            p = point_from_parameters(theta, 12.0, 1.0, 0.4)
+            built = oracle_eval(gaussian(1.0), p, 1.0, cfg)
+            parsed = oracle_eval(parse_spectrum("exp(-(kx^2+ky^2)/4)"), p, 1.0, cfg)
+            assert built.converged and parsed.converged
+            assert abs(built.value - parsed.value) <= built.est_error, theta
+            assert built.evaluations < parsed.evaluations, theta
 
     def test_cap_without_a_passed_test_is_counted(self):
         # sqrt(kx) has a branch point on the ring, so the trapezoid
@@ -266,7 +273,7 @@ class TestAzimuthalPaths:
         count = _Counter()
         p = ObservationPoint(40000, 0, 1)
         (value,) = _phi_integrals(
-            constant(), np.array([1.0]), np.array([0.0]), p, 1.0, 1e-7, count
+            unit_probe(), np.array([1.0]), np.array([0.0]), p, 1.0, 1e-7, count
         )
         assert count.n == 2 * (1 << 16)
         assert count.capped == 0
@@ -282,7 +289,7 @@ class TestAzimuthalPaths:
         p = ObservationPoint(18, 24, 2)
         krho = np.geomspace(0.05, 20.0, 40)
         values = _phi_integrals(
-            constant(), krho, np.zeros(krho.size), p, 1.0, 1e-7, count
+            unit_probe(), krho, np.zeros(krho.size), p, 1.0, 1e-7, count
         )
         assert count.capped == 0
         assert np.max(np.abs(values - 2 * math.pi * j0(krho * 30.0))) < 1e-12
@@ -290,7 +297,7 @@ class TestAzimuthalPaths:
         alone = _Counter()
         for k in krho:
             row = np.array([k])
-            (value,) = _phi_integrals(constant(), row, row * 0.0, p, 1.0, 1e-7, alone)
+            (value,) = _phi_integrals(unit_probe(), row, row * 0.0, p, 1.0, 1e-7, alone)
             assert value == pytest.approx(values[krho == k][0], rel=1e-14, abs=1e-15)
         assert count.n == alone.n
 
@@ -330,6 +337,82 @@ class TestAzimuthalPaths:
         assert not res.converged
         assert "azimuthal cap" in res.limit
         assert res.evaluations < 30_000_000
+
+
+class TestBesselJ0:
+    """The in-module J0 behind the radial path, against scipy.special.j0."""
+
+    def test_matches_scipy_over_the_oracle_range(self):
+        from scipy.special import j0
+
+        from asx.oracle import _j0
+
+        edges = [np.nextafter(e, side) for e in (1.0, 25.0) for side in (0.0, np.inf)]
+        x = np.concatenate(
+            (
+                np.linspace(0.0, 3e5, 300_001),
+                np.geomspace(1e-8, 3e5, 10_001),
+                np.linspace(0.5, 1.5, 2_001),  # the power series' edge
+                np.linspace(24.0, 26.0, 4_001),  # the Hankel expansion's edge
+                [1.0, 25.0, *edges],
+            )
+        )
+        assert np.max(np.abs(_j0(x) - j0(x))) <= 1e-15
+        # the recurrence order and the number of Hankel terms follow the
+        # extreme x of each call, so calls over narrow ranges must hold too
+        chunks = np.array_split(np.sort(x), 2_000)
+        assert max(np.max(np.abs(_j0(c) - j0(c))) for c in chunks) <= 1e-15
+
+    def test_zero_and_tiny_arguments(self):
+        # the recurrence would overflow like (2n/x)^n near 0; no warning,
+        # J0(0) exactly 1
+        import warnings
+
+        from scipy.special import j0
+
+        from asx.oracle import _j0
+
+        x = np.array([0.0, 5e-324, 1e-300, 1e-3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = _j0(x)
+        assert values[0] == 1.0
+        assert np.max(np.abs(values - j0(x))) <= 1e-15
+
+
+class TestSommerfeldPath:
+    def test_radial_rows_take_one_element_each(self):
+        from scipy.special import j0
+
+        from asx.oracle import _Counter, _phi_integrals
+
+        count = _Counter()
+        p = ObservationPoint(18, 24, 2)
+        krho = np.geomspace(0.05, 20.0, 40)
+        values = _phi_integrals(constant(), krho, np.zeros(krho.size), p, 1.0, 1e-7, count)
+        assert count.n == krho.size
+        assert np.max(np.abs(values - 2 * math.pi * j0(krho * 30.0))) < 1e-14
+
+    def test_grazing_weyl_converges_within_its_estimate(self):
+        # the trapezoid reported its azimuthal cap here, 1.7e-3 rad above
+        # the horizon, although its value was within 2.2e-10 of exact
+        p = ObservationPoint(299.9, 0, 0.5)
+        res = oracle_eval(weyl(), p, 1.0)
+        assert res.converged
+        assert abs(res.value - spherical_wave(p)) <= res.est_error
+
+    def test_oracle_runs_without_scipy(self):
+        import os
+        import subprocess
+        import sys
+
+        code = (
+            "import sys\n"
+            "from asx import ObservationPoint, gaussian, oracle_eval\n"
+            "oracle_eval(gaussian(2.0), ObservationPoint(30, 10, 4), 1.0)\n"
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+        )
+        subprocess.run([sys.executable, "-c", code], env=dict(os.environ), check=True)
 
 
 class TestDivergenceDetection:
