@@ -5,8 +5,8 @@
 Runs ``oracle_eval`` (rel_tol 1e-7, k0 = 1, azimuth 0.4) on 27 cases:
 the spectra weyl, gauss (gaussian(2)) and tweyl (a parsed translated
 Weyl) of perfbench/reference.py, theta in {1, .7, .3}, k0*r in
-{20, 100, 300}, then weyl at three points near grazing: (299.9, 0, 0.5),
-(299.9, 0, 5) and (100, 0, 3).  Each case records seconds, ``evaluations``,
+{20, 100, 300}, then weyl and tweyl at three points near grazing:
+(299.9, 0, 0.5), (299.9, 0, 5) and (100, 0, 3).  Each case records seconds, ``evaluations``,
 ``est_error``, ``converged`` and the true error where an exact form
 exists (the two Weyl spectra are spherical waves, also from
 perfbench/reference.py).  It also runs the 72-case honesty grid, exact
@@ -42,7 +42,8 @@ REPEATS = 3
 THETAS = (1.0, 0.7, 0.3)
 K0RS = (20.0, 100.0, 300.0)
 AZIMUTH = 0.4
-GRAZING = ((299.9, 0.0, 0.5), (299.9, 0.0, 5.0), (100.0, 0.0, 3.0))  # weyl, (x, y, z)
+GRAZING = ((299.9, 0.0, 0.5), (299.9, 0.0, 5.0), (100.0, 0.0, 3.0))  # (x, y, z)
+GRAZING_SPECTRA = ("weyl", "tweyl")
 HONESTY = {
     "theta": (1.0, 0.9, 0.7, 0.5, 0.3, 0.15),
     "k0r": (5.0, 20.0, 80.0, 250.0),
@@ -73,8 +74,9 @@ def measure(src: str) -> dict:
         for theta in THETAS
         for k0r in K0RS
     ]
-    for p in (ObservationPoint(*xyz) for xyz in GRAZING):
-        points.append(("weyl", p.theta, p.r, p))
+    for key in GRAZING_SPECTRA:
+        for p in (ObservationPoint(*xyz) for xyz in GRAZING):
+            points.append((key, p.theta, p.r, p))
     cases = []
     for key, theta, k0r, p in points:
         builtin, expr = reference.SPECTRA[key]
@@ -162,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
     evaluations_changes = [a["evaluations_change"] for a in after["cases"]]
     report = {
         "matrix": "oracle_eval, rel_tol 1e-7, k0 1, azimuth 0.4; "
-        + f"theta {list(THETAS)}; k0r {list(K0RS)}; weyl at (x, y, z) {list(GRAZING)}",
+        + f"theta {list(THETAS)}; k0r {list(K0RS)}; weyl and tweyl at (x, y, z) {list(GRAZING)}",
         "spectra": {key: reference.SPECTRA[key][0] or reference.SPECTRA[key][1] for key in SPECTRA},
         "host": f"{platform.machine()}, Python {platform.python_version()}",
         "timing": f"{REPEATS} alternating runs per side, fastest time per case",

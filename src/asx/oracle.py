@@ -11,29 +11,30 @@ design optimizes for controlled error rather than speed:
 * the evanescent leg is kz = i*s with s = sqrt(k_rho^2 - k0^2), so the
   weight becomes exp(-s*z) and the truncation point s_max is chosen where
   exp(-s*z) < rel_tol/10, provably below the accuracy target;
-* for a radial spectrum the azimuthal integral is exact by the Sommerfeld
-  identity, 2*pi*f(k_rho)*J0(k_rho*rho_xy), one spectrum element per
-  radial node (on axis, J0 = 1 and no Bessel call is made); J0 is an
-  in-module kernel (power series, Miller's backward recurrence, Hankel's
-  asymptotic expansion);
-* for any other (parsed) spectrum the azimuthal integral is a periodic
-  trapezoid rule sized by the oscillation scale k_rho*rho_xy and doubled
-  to convergence (spectrally accurate for smooth periodic integrands);
+* the azimuthal integral is a Bessel sum by the Jacobi-Anger expansion,
+  2*pi*sum_m c_m*i^m*J_m(k_rho*rho_xy)*exp(i*m*phi0) with phi0 the azimuth
+  of the point and c_m the Fourier coefficients of f alone on the circle
+  k_rho, so its cost follows the bandwidth of f, not that of the phase;
+* a radial spectrum has c_0 = f(k_rho) only: one spectrum element per
+  radial node and 2*pi*f*J0(k_rho*rho_xy), the Sommerfeld identity (on
+  axis 2*pi*f, with no Bessel call);
+* any other (parsed) spectrum is sampled on a ring of nodes per radial
+  node, doubled onto itself until the Fourier tail of f is below the
+  row's floor; the c_m come from an FFT along the ring, and the spectrum
+  sees at most _BLOCK_ELEMENTS elements per call (one ring if wider);
+* J_m for all orders of a call comes from one in-module recurrence: the
+  power series, Miller's backward recurrence, or Hankel's expansion for
+  J0 and J1 followed by the forward recurrence;
 * both legs share one heap of adaptive Gauss-Legendre panels (interior
   nodes, so the branch circle itself is never evaluated), refined
   worst-first until the summed panel error estimate meets
-  rel_tol * |value|;
-* for the trapezoid, one panel is one (nodes x phi) block, doubled row by
-  row: the radial nodes of both Gauss rules take their trapezoids together,
-  each row freezing once it passes its doubling test, and the spectrum
-  sees at most _BLOCK_ELEMENTS elements per call (one row if wider).
-  A trapezoid stopped at its node cap ends the refinement, since the
-  value cannot converge.
+  rel_tol * |value|; a ring stopped at its node cap ends the refinement,
+  since the value cannot converge.
 
-Cost grows roughly linearly with k0*r on the J0 path and quadratically on
-the trapezoid, so the oracle refuses k0*r above ORACLE_K0R_ENVELOPE.
-Identical inputs produce identical outputs: panels are refined and summed
-in a fixed deterministic order.
+Cost grows with k0*r (and, for a parsed spectrum, with the bandwidth of f),
+so the oracle refuses k0*r above ORACLE_K0R_ENVELOPE.  Identical inputs
+produce identical outputs: panels are refined and summed in a fixed
+deterministic order.
 """
 
 from __future__ import annotations
@@ -57,20 +58,27 @@ __all__ = [
 
 ORACLE_K0R_ENVELOPE = 300.0  # desk-scale limit on k0*r
 _PANEL_NODES = 16  # Gauss-Legendre size per panel; error gauged against 2x
-# Beyond this azimuthal bandwidth k_rho*rho_xy the first trapezoid would need
-# more than 2^19 nodes (8 MB per complex array): the point is too close to
-# grazing for the oracle.  The wall holds for radial spectra as well, so one
+# Beyond this azimuthal bandwidth k_rho*rho_xy the point is too close to
+# grazing for the oracle.  A parsed spectrum's own bandwidth grows with k_rho
+# too, so the wall still bounds its rings; it holds for every spectrum, so one
 # rule decides which points the oracle refuses.
 _MAX_PHI_BANDWIDTH = float(1 << 18)
-_MAX_PHI_NODES = 1 << 15  # azimuthal doubling stops here, flagged unless passed
+_MAX_PHI_NODES = 1 << 15  # ring doubling stops here, flagged unless passed
 # Complex elements per spectrum call over a block: 32 KB arrays, so that a
 # call's temporaries stay near those of the widest single rings
 _BLOCK_ELEMENTS = 1 << 11
+_RING_START = 32  # nodes of the first ring of f on each circle
+_RING_ELEMENTS = 1 << 13  # ring values doubled at once: 128 KB, one row at least
+# The orders cut from a ring's Bessel sum may take this share of its floor:
+# the cut error is spent in full, unlike the tail the doubling test bounds
+_CUT_SHARE = 1e-3
 _PROP, _EVAN = 0, 1  # legs of the kz contour: kz in [0, k0], then kz = i*s
-# J0 takes its power series below the first edge (where the recurrence would
-# overflow) and Hankel's expansion from the second on
-_J0_SERIES_EDGE = 1.0
-_J0_HANKEL_EDGE = 25.0
+# J_m takes its power series below the first edge (where a step of Miller's
+# recurrence could overflow), and J0, J1 take Hankel's expansion from the second
+# on
+_J_SERIES_EDGE = 1.0
+_J_HANKEL_EDGE = 25.0
+_MILLER_RESCALE = 1e250  # Miller's values are scaled down beyond this
 
 
 @dataclass(frozen=True)
@@ -104,7 +112,7 @@ class OracleResult:
 
     ``limit`` names what stopped the run short of ``rel_tol`` (empty when
     it converged); ``est_error`` is the radial estimate and does not
-    include the residual of an azimuthal trapezoid stopped at its cap.
+    include the residual of an azimuthal ring stopped at its cap.
     """
 
     value: complex
@@ -129,88 +137,131 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _j0_coefficients() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coefficients made by recurrence, cut where their terms fall below
-    2^-60 at the edge of their range:
-
-    series  1/(k!)^2, the power series of J0 in -x^2/4;
-    hankel  rows (P_j, Q_j) of Hankel's expansion (A&S 9.2.5, 9.2.9),
-            J0(x) = sqrt(2/(pi*x))*(P*cos(x - pi/4) - Q*sin(x - pi/4)) with
-            P = sum P_j/x^2j, Q = sum Q_j/x^(2j+1), P_j = (-1)^j*a_2j,
-            Q_j = -(-1)^j*a_(2j+1), a_0 = 1, a_k = a_(k-1)*(2k - 1)^2/(8k);
-    reach   the x below which row j still counts, (a_2j*2^60)^(1/2j);
-            it falls with j, so the rows an x needs are a prefix.
-    """
+def _series_coefficients(m: int) -> np.ndarray:
+    """1/(k!*(k + m)!)*m!, the power series of J_m in -x^2/4 after its
+    leading (x/2)^m/m!, cut where the terms fall below 2^-60 at
+    _J_SERIES_EDGE."""
     series = [1.0]
-    while series[-1] * (0.25 * _J0_SERIES_EDGE**2) ** (len(series) - 1) > 2.0**-60:
+    while series[-1] * (0.25 * _J_SERIES_EDGE**2) ** (len(series) - 1) > 2.0**-60:
         k = len(series)
-        series.append(series[-1] / (k * k))
+        series.append(series[-1] / (k * (k + m)))
+    return np.array(series)
+
+
+@functools.cache
+def _hankel_coefficients(nu: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (P_j, Q_j) of Hankel's expansion of J_nu (A&S 9.2.5, 9.2.9),
+    J_nu(x) = sqrt(2/(pi*x))*(P*cos(chi) - Q*sin(chi)) with
+    chi = x - (nu/2 + 1/4)*pi, P = sum P_j/x^2j, Q = sum Q_j/x^(2j+1),
+    P_j = (-1)^j*a_2j, Q_j = (-1)^j*a_(2j+1), a_0 = 1 and
+    a_k = a_(k-1)*(4*nu^2 - (2k - 1)^2)/(8k), cut where |a_k|/x^k falls
+    below 2^-60 at _J_HANKEL_EDGE; and the reach of each row, the x below
+    which row j still counts, (|a_2j|*2^60)^(1/2j).  The reach falls with
+    j, so the rows an x needs are a prefix."""
     a = [1.0]
-    while a[-1] / _J0_HANKEL_EDGE ** (len(a) - 1) > 2.0**-60 or len(a) % 2:
+    while abs(a[-1]) / _J_HANKEL_EDGE ** (len(a) - 1) > 2.0**-60 or len(a) % 2:
         k = len(a)
-        a.append(a[-1] * (2 * k - 1) ** 2 / (8 * k))
+        a.append(a[-1] * (4 * nu * nu - (2 * k - 1) ** 2) / (8 * k))
     pairs = np.reshape(a, (-1, 2))
     j = np.arange(1, len(pairs))
-    hankel = pairs * (-1.0) ** np.arange(len(pairs))[:, None] * [1.0, -1.0]
-    reach = np.concatenate(([math.inf], (pairs[1:, 0] * 2.0**60) ** (0.5 / j)))
-    return np.array(series), hankel, reach
+    hankel = pairs * (-1.0) ** np.arange(len(pairs))[:, None]
+    reach = np.concatenate(([math.inf], (np.abs(pairs[1:, 0]) * 2.0**60) ** (0.5 / j)))
+    return hankel, reach
 
 
-def _series_j0(x: np.ndarray) -> np.ndarray:
-    """J0 for x < _J0_SERIES_EDGE by its power series."""
-    return np.polynomial.polynomial.polyval(-0.25 * x * x, _j0_coefficients()[0])
+def _series_orders(x: np.ndarray, top: int) -> np.ndarray:
+    """J_0..J_top of x < _J_SERIES_EDGE by the power series, one row per
+    order; orders whose leading term (x/2)^m/m! has underflowed stay 0."""
+    out = np.zeros((top + 1, x.size))
+    q = -0.25 * x * x
+    lead = np.ones(x.shape)  # (x/2)^m/m!
+    for m in range(top + 1):
+        out[m] = lead * np.polynomial.polynomial.polyval(q, _series_coefficients(m))
+        lead = lead * (0.5 * x / (m + 1))
+        if not lead.any():
+            break
+    return out
 
 
-def _miller_j0(x: np.ndarray) -> np.ndarray:
-    """J0 for _J0_SERIES_EDGE <= x < _J0_HANKEL_EDGE by Miller's backward
-    recurrence J_{k-1} = (2k/x)*J_k - J_{k+1}, started at J_n = 1,
-    J_{n+1} = 0 from an even order n set by the largest x, and normalized
-    by J0 + 2*(J2 + J4 + ...) = 1.  The unnormalized values grow by at most
-    prod(2k/x) <= 2^n*n! < 1e105, as n <= 62; below _J0_SERIES_EDGE they
-    would overflow."""
-    top = float(x.max())
-    n = 2 * math.ceil((top + 12.0 + 8.0 * top ** (1.0 / 3.0)) / 2.0)
+def _miller_orders(x: np.ndarray, top: int) -> np.ndarray:
+    """J_0..J_top of x >= _J_SERIES_EDGE by Miller's backward recurrence
+    J_{k-1} = (2k/x)*J_k - J_{k+1}, one row per order, started at J_n = 1,
+    J_{n+1} = 0 from an even order n set by top and the largest x, and
+    normalized by J0 + 2*(J2 + J4 + ...) = 1.  A step grows the values by at
+    most 2k/x + 1; where the product of those factors could overflow, a
+    column passing _MILLER_RESCALE is scaled down with every order it holds
+    (its highest orders then underflow towards their true, tiny values).
+    Below _J_SERIES_EDGE a single step could overflow."""
+    top_x = float(x.max())
+    n = 2 * math.ceil((max(top, top_x) + 12.0 + 8.0 * top_x ** (1.0 / 3.0)) / 2.0)
+    rescale = n * math.log1p(2.0 * n / float(x.min())) > math.log(_MILLER_RESCALE)
     two_over_x = 2.0 / x
+    out = np.empty((top + 1, x.size))
     above, at = np.zeros(x.shape), np.ones(x.shape)  # J_{k+1}, J_k at k = n
     even_sum = at.copy()  # J_n + J_{n-2} + ... down to the current k
     for k in range(n, 0, -2):
         odd = k * two_over_x * at - above
         above, at = odd, (k - 1) * two_over_x * odd - at
         even_sum += at
-    return at / (2.0 * even_sum - at)
+        if k - 1 <= top:
+            out[k - 1] = odd
+        if k - 2 <= top:
+            out[k - 2] = at
+        if rescale:
+            big = np.abs(at) > _MILLER_RESCALE
+            if big.any():
+                for values in (above, at, even_sum):
+                    values[big] /= _MILLER_RESCALE
+                out[k - 2 :, big] /= _MILLER_RESCALE
+    return out / (2.0 * even_sum - at)
 
 
-def _hankel_j0(x: np.ndarray) -> np.ndarray:
-    """J0 for x >= _J0_HANKEL_EDGE by Hankel's expansion, P and x*Q summed
+def _hankel(x: np.ndarray, nu: int) -> np.ndarray:
+    """J_nu of x >= _J_HANKEL_EDGE by Hankel's expansion, P and x*Q summed
     together in 1/x^2 over the rows the smallest x needs."""
-    _, hankel, reach = _j0_coefficients()
+    hankel, reach = _hankel_coefficients(nu)
     rows = hankel[: np.count_nonzero(reach > x.min())]
     p, xq = np.polynomial.polynomial.polyval(1.0 / (x * x), rows)
-    chi = x - 0.25 * math.pi
+    chi = x - (0.5 * nu + 0.25) * math.pi
     return np.sqrt(2.0 / (math.pi * x)) * (p * np.cos(chi) - xq / x * np.sin(chi))
 
 
-_J0_KERNELS = (
-    (0.0, _J0_SERIES_EDGE, _series_j0),
-    (_J0_SERIES_EDGE, _J0_HANKEL_EDGE, _miller_j0),
-    (_J0_HANKEL_EDGE, math.inf, _hankel_j0),
-)
+def _hankel_orders(x: np.ndarray, top: int) -> np.ndarray:
+    """J_0..J_top of x >= max(_J_HANKEL_EDGE, top), one row per order: J0
+    and J1 by Hankel's expansion, the rest by the forward recurrence
+    J_{m+1} = (2m/x)*J_m - J_{m-1}, which is stable while m stays below x."""
+    out = np.empty((top + 1, x.size))
+    out[0] = _hankel(x, 0)
+    if top:
+        out[1] = _hankel(x, 1)
+        factors = np.arange(top)[:, None] * (2.0 / x)  # row m: 2m/x
+        for m in range(1, top):
+            np.multiply(factors[m], out[m], out=out[m + 1])
+            out[m + 1] -= out[m - 1]
+    return out
 
 
-def _j0(x: np.ndarray) -> np.ndarray:
-    """Bessel J0 of real x >= 0, elementwise; within 1e-15 of
-    scipy.special.j0 on [0, 3e5]."""
-    out = np.empty(x.shape)
-    for lo, hi, kernel in _J0_KERNELS:
-        part = (lo <= x) & (x < hi)
+def _bessel_orders(x: np.ndarray, top: int) -> np.ndarray:
+    """Bessel J_0..J_top of real x >= 0, shape (top + 1, x.size): the power
+    series below _J_SERIES_EDGE, Hankel's expansion and the forward
+    recurrence where x >= _J_HANKEL_EDGE and x >= top, and Miller's
+    recurrence in between.  J0 and J1 are within 1e-15 of scipy.special.j0
+    and j1 on [0, 3e5]; the order and the number of terms of each kernel
+    follow the extreme x of its part of the call."""
+    out = np.empty((top + 1, x.size))
+    series = x < _J_SERIES_EDGE
+    hankel = (x >= _J_HANKEL_EDGE) & (x >= top)
+    miller = ~series & ~hankel
+    kernels = ((series, _series_orders), (miller, _miller_orders), (hankel, _hankel_orders))
+    for part, kernel in kernels:
         if part.any():
-            out[part] = kernel(x[part])
+            out[:, part] = kernel(x[part], top)
     return out
 
 
 class _Counter:
-    """Spectrum evaluations, and radial nodes whose azimuthal trapezoid
-    stopped at its cap without passing the doubling test."""
+    """Spectrum evaluations, and radial nodes whose ring of f stopped at
+    its cap without passing the doubling test."""
 
     __slots__ = ("n", "capped")
 
@@ -219,26 +270,110 @@ class _Counter:
         self.capped = 0
 
 
-def _block_means(f, krho, kz, p: ObservationPoint, k0: float, phi, count: _Counter):
-    """Mean of f * exp(i*(kx*x + ky*y)) over the azimuths phi on each circle
-    krho[j] (at kz[j]), and the largest modulus on it.  Rows go to the
-    spectrum in blocks of at most _BLOCK_ELEMENTS elements, one row at least."""
+def _ring_values(f, krho, kz, k0: float, n: int, shift: float, count: _Counter):
+    """f at the n azimuths 2*pi*(j + shift)/n on each circle krho[r] (at kz[r]),
+    one row per circle.  Rows go to the spectrum in blocks of at most
+    _BLOCK_ELEMENTS elements, one row at least."""
+    phi = 2.0 * math.pi * (np.arange(n) + shift) / n
     cos, sin = np.cos(phi), np.sin(phi)
-    means = np.empty(krho.size, dtype=complex)
-    peaks = np.empty(krho.size)
-    step = max(1, _BLOCK_ELEMENTS // phi.size)
+    out = np.empty((krho.size, n), dtype=complex)
+    step = max(1, _BLOCK_ELEMENTS // n)
     for lo in range(0, krho.size, step):
         rows = slice(lo, lo + step)
         kx = krho[rows, None] * cos
         ky = krho[rows, None] * sin
         count.n += kx.size
-        # in place, so a block holds its spectrum call and one array more
-        g = 1j * (kx * p.x + ky * p.y)
-        np.exp(g, out=g)
-        g *= f.evaluate(kx, ky, np.broadcast_to(kz[rows, None], kx.shape), k0)
-        means[rows] = g.mean(axis=1)
-        peaks[rows] = np.abs(g).max(axis=1)
-    return means, peaks
+        out[rows] = f.evaluate(kx, ky, np.broadcast_to(kz[rows, None], kx.shape), k0)
+    return out
+
+
+def _ring_coefficients(f, krho, kz, k0: float, rel_tol: float, count: _Counter):
+    """Fourier coefficients c_m of f on each circle krho[r] (at kz[r]),
+    yielded as (rows, c) for groups of rows that stop at the same ring size;
+    c[:, m] holds order m for |m| <= top, the negative orders counted from
+    the end.
+
+    Each ring starts at _RING_START nodes and doubles onto its own nodes,
+    at least once, until the tail of its spectrum is within the row's
+    floor, rel_tol/30 of the rms of f on the ring; a row still failing at
+    _MAX_PHI_NODES is counted in ``count.capped``.  A tail is measured as
+    sqrt(sum |c_m|^2): as sum J_m^2 = 1, that bounds what the orders in it
+    add to the Bessel sum, and the rounding of f adds to it no more than it
+    does to one sample.  The test takes the upper half of the band; each
+    row's coefficients, from an FFT along the ring, are cut above the highest
+    order whose tail from there up still exceeds _CUT_SHARE of its floor, so
+    a row's sum does not depend on the rows that share its group.
+    Rings wider than _RING_ELEMENTS in all are doubled in smaller groups of
+    rows, one row at least.
+    """
+    from numpy.fft import fft  # here: importing asx must not load numpy.fft
+
+    # noise floor for the radial error estimator sitting on top of this
+    floor = (rel_tol / 30.0) ** 2
+    twiddles = {}  # ring size -> exp(-i*pi*m/size)/size, m = 0..size-1
+    # rows and the coefficients of their ring so far; the first ring and its
+    # first doubling are one call of 2*_RING_START nodes
+    work = [(np.arange(krho.size), None)]
+    while work:
+        rows, c = work.pop()
+        if c is None:
+            c = fft(_ring_values(f, krho, kz, k0, 2 * _RING_START, 0.0, count), axis=1)
+            c /= 2 * _RING_START
+        else:
+            # the new nodes sit halfway between the old ones: one butterfly
+            # joins their transform to the ring's
+            size = c.shape[1]
+            if size not in twiddles:
+                twiddles[size] = np.exp(-1j * math.pi * np.arange(size) / size) / size
+            fresh = fft(_ring_values(f, krho[rows], kz[rows], k0, size, 0.5, count), axis=1)
+            fresh *= twiddles[size]
+            c = 0.5 * np.concatenate((c + fresh, c - fresh), axis=1)
+        n = c.shape[1] // 2  # the band: orders -n..n, order -m at column 2n - m
+        power = c.real * c.real + c.imag * c.imag
+        ring_floor = floor * power.sum(axis=1)
+        passed = power[:, n // 2 : 3 * n // 2 + 1].sum(axis=1) <= ring_floor
+        if 2 * n >= _MAX_PHI_NODES:
+            count.capped += int(np.count_nonzero(~passed))
+            passed[:] = True
+        if passed.any():
+            done = power[passed]
+            # the tails from order n - 1 down to 1: sum of |c_k|^2 + |c_-k|^2
+            # over m <= k <= n
+            tail = np.cumsum(done[:, n - 1 : 0 : -1] + done[:, n + 1 :], axis=1)
+            tail += done[:, n, None]
+            above = tail > _CUT_SHARE**2 * ring_floor[passed, None]
+            tops = np.count_nonzero(above, axis=1)
+            top = int(tops.max())
+            orders = np.concatenate((c[passed, : top + 1], c[passed, 2 * n - top :]), axis=1)
+            cut = np.arange(1, top + 1) > tops[:, None]
+            orders[:, 1 : top + 1][cut] = 0.0
+            orders[:, top + 1 :][cut[:, ::-1]] = 0.0
+            yield rows[passed], orders
+        if not passed.all():
+            rows, c = rows[~passed], c[~passed]
+            step = max(1, _RING_ELEMENTS // (4 * n))
+            for lo in reversed(range(0, rows.size, step)):
+                work.append((rows[lo : lo + step], c[lo : lo + step]))
+
+
+def _bessel_sum(c: np.ndarray, x: np.ndarray, p: ObservationPoint) -> np.ndarray:
+    """2*pi*sum_m c_m*i^m*J_m(x)*exp(i*m*phi0) per row, phi0 = atan2(y, x):
+    the azimuthal integral of f*exp(i*(kx*x + ky*y)) by the Jacobi-Anger
+    expansion, with c laid out as _ring_coefficients yields it.  On axis
+    only c_0 counts."""
+    value = 2.0 * math.pi * c[:, 0]
+    if p.rho_xy == 0.0:
+        return value
+    top = c.shape[1] // 2
+    j = _bessel_orders(x, top)
+    value = value * j[0]
+    if top:
+        m = np.arange(1, top + 1)
+        turn = np.exp(1j * m * math.atan2(p.y, p.x))
+        i_m = np.array([1, 1j, -1, -1j])[m % 4]
+        pairs = i_m * (c[:, 1 : top + 1] * turn + c[:, : top : -1] * turn.conj())
+        value = value + 2.0 * math.pi * (pairs * j[1:].T).sum(axis=1)
+    return value
 
 
 def _phi_integrals(
@@ -252,50 +387,21 @@ def _phi_integrals(
 ) -> np.ndarray:
     """Azimuthal integrals of f * exp(i*(kx*x + ky*y)), one per row (k_rho, kz).
 
-    A radial spectrum takes the Sommerfeld identity, 2*pi*f*J0(k_rho*rho_xy),
-    one spectrum element per row.  Otherwise the integrand is smooth and
-    2*pi-periodic, so the trapezoid rule converges spectrally once the node
-    count exceeds the Bessel-type bandwidth k_rho*rho_xy of the phase
-    factor.  Rows that start from the same node count form one (rows x phi)
-    block, doubled together; each doubling reuses all previous nodes, a row
-    that passes its test is frozen and leaves the block, at least one
-    doubling test runs, and a row still failing at _MAX_PHI_NODES is
-    counted in ``count.capped``.
+    By the Jacobi-Anger expansion the integral is 2*pi*sum_m c_m*i^m*
+    J_m(k_rho*rho_xy)*exp(i*m*phi0) with c_m the Fourier coefficients of f
+    alone on the circle, so its cost follows the bandwidth of f, not that of
+    the phase.  A radial spectrum has c_0 = f(k_rho) only (the Sommerfeld
+    identity, one spectrum element per row); any other takes its
+    coefficients from a ring of f (_ring_coefficients).
     """
-    rho = p.rho_xy
+    x = krho * p.rho_xy
     if f.radial:
         count.n += krho.size
-        ring = 2.0 * math.pi * f.evaluate(krho, np.zeros(krho.shape), kz, k0)
-        return ring if rho == 0.0 else ring * _j0(krho * rho)
-
-    # rows by starting node count; plain Python, since the first call of
-    # np.unique or of an integer == costs RSS out of proportion to 48 rows
-    blocks: dict[int, list[int]] = {}
-    for row, log_n in enumerate(np.ceil(np.log2(krho * rho + 32)).astype(int).tolist()):
-        blocks.setdefault(1 << log_n, []).append(row)
-    # noise floor for the radial error estimator sitting on top of this
-    phi_rel = rel_tol / 30.0
+        c = f.evaluate(krho, np.zeros(krho.shape), kz, k0)
+        return _bessel_sum(c[:, None], x, p)
     out = np.empty(krho.size, dtype=complex)
-    for n, block in sorted(blocks.items()):
-        rows = np.array(block)
-        phi = 2.0 * math.pi * np.arange(n) / n
-        mean, gmax = _block_means(f, krho[rows], kz[rows], p, k0, phi, count)
-        value = 2.0 * math.pi * mean
-        while True:
-            phi = 2.0 * math.pi * (np.arange(n) + 0.5) / n
-            mean, peak = _block_means(f, krho[rows], kz[rows], p, k0, phi, count)
-            refined = 0.5 * (value + 2.0 * math.pi * mean)
-            gmax = np.maximum(gmax, peak)
-            floor = phi_rel * (np.abs(refined) + 1e-3 * 2.0 * math.pi * gmax)
-            failed = ~(np.abs(refined - value) <= floor)
-            out[rows] = refined
-            n *= 2
-            if not failed.any():
-                break
-            if n >= _MAX_PHI_NODES:
-                count.capped += int(np.count_nonzero(failed))
-                break
-            rows, value, gmax = rows[failed], refined[failed], gmax[failed]
+    for rows, c in _ring_coefficients(f, krho, kz, k0, rel_tol, count):
+        out[rows] = _bessel_sum(c, x[rows], p)
     return out
 
 
@@ -444,7 +550,7 @@ def oracle_eval(
         total = values[_PROP] + values[_EVAN]
         err = errors[_PROP] + errors[_EVAN] + tail
         best_err = min(best_err, err)
-        # a trapezoid stopped at its cap leaves the value unconverged
+        # a ring stopped at its cap leaves the value unconverged
         # whatever the radial panels do, so refining them is wasted
         if count.capped:
             break

@@ -43,9 +43,11 @@ class SpectrumFunction:
     """An immutable, side-effect-free spectral amplitude.
 
     ``radial`` marks amplitudes that depend on (kx, ky) only through
-    kx^2 + ky^2; the oracle then takes the azimuthal integral exactly as
-    2*pi*f(k_rho)*J0(k_rho*rho_xy), and keeps its trapezoid for the others
-    (parsed spectra).
+    kx^2 + ky^2: the builtins, and parsed expressions that name neither kx
+    nor ky.  The oracle then evaluates f once per circle k_rho and takes the
+    azimuthal integral as 2*pi*f(k_rho)*J0(k_rho*rho_xy); for any other
+    spectrum it takes the Fourier coefficients of f from a ring of samples
+    on the circle and sums them against J_m(k_rho*rho_xy).
     """
 
     label: str
@@ -55,16 +57,23 @@ class SpectrumFunction:
     def evaluate(self, kx, ky, kz, k0: float):
         """Evaluate at scalars or numpy arrays; faults raise
         :class:`~asx.errors.SpectrumEvaluationError`."""
-        scalar = np.ndim(kx) == 0 and np.ndim(ky) == 0 and np.ndim(kz) == 0
         with np.errstate(all="ignore"):
             out = self._fn(kx, ky, kz, k0)
-        shape = np.broadcast_shapes(np.shape(kx), np.shape(ky), np.shape(kz))
-        out = np.broadcast_to(np.asarray(out, dtype=complex), shape)
-        if not np.all(np.isfinite(out)):
+        shape = np.shape(kx)
+        # the oracle's calls pass arrays of one shape and get a complex array
+        # of that shape back, which needs no broadcast or conversion
+        if not (
+            type(out) is np.ndarray
+            and out.dtype == complex
+            and out.shape == shape == np.shape(ky) == np.shape(kz)
+        ):
+            shape = np.broadcast_shapes(shape, np.shape(ky), np.shape(kz))
+            out = np.broadcast_to(np.asarray(out, dtype=complex), shape)
+        if not np.isfinite(out).all():
             raise SpectrumEvaluationError(
                 f"spectrum {self.label!r} produced a non-finite value"
             )
-        if scalar:
+        if not shape:
             return complex(out)
         return out
 
@@ -127,12 +136,26 @@ def builtin_spectrum(name: str) -> SpectrumFunction:
     )
 
 
+def _names_in(node: expr.Node) -> set[str]:
+    """The variable and constant names an expression tree mentions."""
+    if isinstance(node, expr.Name):
+        return {node.ident}
+    if isinstance(node, (expr.Neg, expr.Call)):
+        return _names_in(node.arg)
+    if isinstance(node, expr.Power):
+        return _names_in(node.base)
+    if isinstance(node, expr.BinOp):
+        return _names_in(node.left) | _names_in(node.right)
+    return set()
+
+
 def parse_spectrum(src: str) -> SpectrumFunction:
     """Parse an expression such as ``"i/(2*pi*kz)"`` into a spectrum.
 
     The normalized form of the expression becomes the label; syntax and
     unknown-identifier problems raise
-    :class:`~asx.errors.SpectrumParseError` with a column position.
+    :class:`~asx.errors.SpectrumParseError` with a column position.  An
+    expression that names neither ``kx`` nor ``ky`` is radial.
     """
     tree = expr.parse_expression(src)
     label = expr.format_expression(tree)
@@ -140,4 +163,5 @@ def parse_spectrum(src: str) -> SpectrumFunction:
     def fn(kx, ky, kz, k0):
         return expr.evaluate_tree(tree, {"kx": kx, "ky": ky, "kz": kz, "k0": k0})
 
-    return SpectrumFunction(label=label, radial=False, _fn=fn)
+    radial = not _names_in(tree) & {"kx", "ky"}
+    return SpectrumFunction(label=label, radial=radial, _fn=fn)

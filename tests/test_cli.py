@@ -506,29 +506,50 @@ def polar_point(r, theta, azimuth):
     return f"{rho * math.cos(azimuth)!r},{rho * math.sin(azimuth)!r},{r * theta!r}"
 
 
-def oracle_points(theta_min):
-    """Points at k0*r <= 30 (k0 = 1) and theta >= theta_min, or malformed."""
+def oracle_points(r_min):
+    """Points at r_min <= k0*r <= 30 (k0 = 1) and theta >= 0.02, or malformed."""
     return st.one_of(
         st.builds(
             polar_point,
-            r=st.floats(1e-3, 30.0),
-            theta=st.floats(theta_min, 1.0),
+            r=st.floats(r_min, 30.0),
+            theta=st.floats(0.02, 1.0),
             azimuth=st.floats(0.0, 2 * math.pi),
         ),
         st.sampled_from(["nan,0,1", "0,inf,1", "1,0,0", "1,0,-2", "1,2", "3,0,1e-300"]),
     )
 
 
-# Builtins are radial and take the oracle's J0 path, whose cost does not grow
-# toward grazing; the parsed spectrum walks the trapezoid, whose cost grows
-# with the bandwidth k_rho*rho_xy ~ rho/z, so it stays above theta = 0.2,
-# and BAD_INPUTS pins the exit codes nearer to grazing.
+def near_shifted_weyl(r, theta, azimuth, t):
+    """A Weyl spectrum translated along x by t*z, at a polar point."""
+    shift = t * r * theta
+    return ["--spectrum-expr", f"i/(2*pi*kz)*exp(-{shift!r}*i*kx)"], polar_point(r, theta, azimuth)
+
+
+# Builtins are radial and take the oracle's J0 path; a parsed spectrum that
+# names kx or ky takes a ring of f per radial node, whose size follows the
+# bandwidth of f, d*k_rho for a translation by d, up to the evanescent cutoff
+# s_max ~ 30/z.  The translated Weyl of perfbench's tweyl (d = 1.7) keeps
+# r >= 25, so that z >= 0.5 down to theta = 0.02; a Weyl translated by up to
+# 2*z has a bandwidth below ~60 wherever it is drawn, so it takes the ring
+# down to k0*r = 1e-3, where the Bessel sum's top order often exceeds
+# k_rho*rho_xy (Miller's recurrence or the power series with a high top).
+# BAD_INPUTS pins the exit codes nearer to the z = 0 plane.
 ORACLE_CASES = st.one_of(
     st.tuples(
         st.sampled_from([["--spectrum", name] for name in ("weyl", "constant", "gaussian(2)")]),
-        oracle_points(0.02),
+        oracle_points(1e-3),
     ),
-    st.tuples(st.just(["--spectrum-expr", "i/(2*pi*kz)"]), oracle_points(0.2)),
+    st.tuples(
+        st.just(["--spectrum-expr", "i/(2*pi*kz)*exp(-1.5*i*kx + 0.75*i*ky)"]),
+        oracle_points(25.0),
+    ),
+    st.builds(
+        near_shifted_weyl,
+        r=st.floats(1e-3, 30.0),
+        theta=st.floats(0.02, 1.0),
+        azimuth=st.floats(0.0, 2 * math.pi),
+        t=st.floats(0.0, 2.0),
+    ),
 )
 ODD = [0.0, -1e-7, math.nan, math.inf, 1e200]
 

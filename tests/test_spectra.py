@@ -65,6 +65,14 @@ class TestBuiltins:
         for f in (weyl(), constant(), gaussian(2.0)):
             assert f.radial
 
+    def test_parsed_spectrum_without_kx_and_ky_is_radial(self):
+        # the check is syntactic: a tree naming kx or ky is not radial even
+        # when it depends on kx^2 + ky^2 alone
+        assert parse_spectrum("i/(2*pi*kz)").radial
+        assert parse_spectrum("exp(i*kz*k0)/(1 + kz^2)").radial
+        assert not parse_spectrum("exp(-(kx^2+ky^2)/4)").radial
+        assert not parse_spectrum("kz*sin(ky)").radial
+
     def test_array_evaluation_broadcasts(self):
         f = gaussian(1.0)
         kx = np.linspace(-1, 1, 5)[:, None]
@@ -270,6 +278,27 @@ class TestEvaluationFaults:
         f = parse_spectrum("exp(kx)")
         with pytest.raises(SpectrumEvaluationError):
             f.evaluate(1e6, 0.0, 1.0, 1.0)
+
+    def test_one_non_finite_element_of_an_array_call_raises(self):
+        # a complex array of the broadcast shape skips the conversion, not
+        # the check
+        f = parse_spectrum("exp(kx) + i*kz")
+        kx = np.linspace(0.0, 1.0, 101).reshape(1, -1).repeat(3, axis=0)
+        ky = np.zeros(kx.shape)
+        kz = np.full(kx.shape, 0.5 + 0j)
+        assert np.all(np.isfinite(f.evaluate(kx, ky, kz, 1.0)))
+        kx[2, 7] = 800.0  # exp overflows in this element only
+        with pytest.raises(SpectrumEvaluationError, match="non-finite"):
+            f.evaluate(kx, ky, kz, 1.0)
+
+    def test_array_call_returns_the_spectrum_values_unchanged(self):
+        f = weyl()
+        kz = np.linspace(0.1, 0.9, 12).reshape(3, 4) + 0j
+        kx = np.zeros(kz.shape)
+        out = f.evaluate(kx, kx, kz, 1.0)
+        assert out.dtype == complex and out.shape == kz.shape
+        assert np.array_equal(out, f._fn(kx, kx, kz, 1.0))
+        assert isinstance(f.evaluate(0.0, 0.0, 0.5 + 0j, 1.0), complex)
 
     def test_principal_branch_sqrt(self):
         f = parse_spectrum("sqrt(kz)")
