@@ -20,16 +20,18 @@ design optimizes for controlled error rather than speed:
   axis 2*pi*f, with no Bessel call);
 * any other (parsed) spectrum is sampled on a ring of nodes per radial
   node, doubled onto itself until the Fourier tail of f is below the
-  row's floor; the c_m come from an FFT along the ring, and the spectrum
-  sees at most _BLOCK_ELEMENTS elements per call (one ring if wider);
+  row's floor; the c_m come from an FFT along the ring;
+* every sample of f (radial rows, rings and the tail probe) is taken by
+  one circle sampler, _ring_values, in one spectrum call of at most
+  _BLOCK_ELEMENTS elements (one ring if wider), and counted there;
 * J_m for all orders of a call comes from one in-module recurrence: the
   power series, Miller's backward recurrence, or Hankel's expansion for
   J0 and J1 followed by the forward recurrence;
 * both legs share one heap of adaptive Gauss-Legendre panels (interior
   nodes, so the branch circle itself is never evaluated), refined
   worst-first until the summed panel error estimate meets
-  rel_tol * |value|; a ring stopped at its node cap ends the refinement,
-  since the value cannot converge.
+  rel_tol * |value|; a ring stopped at its node cap ends the refinement
+  and the pushing of initial panels, since the value cannot converge.
 
 Cost grows with k0*r (and, for a parsed spectrum, with the bandwidth of f),
 so the oracle refuses k0*r above ORACLE_K0R_ENVELOPE.  Identical inputs
@@ -64,11 +66,9 @@ _PANEL_NODES = 16  # Gauss-Legendre size per panel; error gauged against 2x
 # rule decides which points the oracle refuses.
 _MAX_PHI_BANDWIDTH = float(1 << 18)
 _MAX_PHI_NODES = 1 << 15  # ring doubling stops here, flagged unless passed
-# Complex elements per spectrum call over a block: 32 KB arrays, so that a
-# call's temporaries stay near those of the widest single rings
-_BLOCK_ELEMENTS = 1 << 11
+# Complex elements per spectrum call: 64 KB arrays, one ring at least
+_BLOCK_ELEMENTS = 1 << 12
 _RING_START = 32  # nodes of the first ring of f on each circle
-_RING_ELEMENTS = 1 << 13  # ring values doubled at once: 128 KB, one row at least
 # The orders cut from a ring's Bessel sum may take this share of its floor:
 # the cut error is spent in full, unlike the tail the doubling test bounds
 _CUT_SHARE = 1e-3
@@ -112,7 +112,9 @@ class OracleResult:
 
     ``limit`` names what stopped the run short of ``rel_tol`` (empty when
     it converged); ``est_error`` is the radial estimate and does not
-    include the residual of an azimuthal ring stopped at its cap.
+    include the residual of an azimuthal ring stopped at its cap.  Once a
+    ring caps no further panel is pushed, so the value and ``est_error``
+    of a capped run cover the panels pushed up to then.
     """
 
     value: complex
@@ -270,21 +272,25 @@ class _Counter:
         self.capped = 0
 
 
+@functools.cache
+def _circle(n: int, shift: float) -> np.ndarray:
+    """cos and sin of the n azimuths 2*pi*(j + shift)/n as the rows of one
+    read-only (2, 1, n) array: every panel samples the same few circles."""
+    phi = 2.0 * math.pi * (np.arange(n) + shift) / n
+    circle = np.array((np.cos(phi), np.sin(phi)))[:, None]
+    circle.flags.writeable = False
+    return circle
+
+
 def _ring_values(f, krho, kz, k0: float, n: int, shift: float, count: _Counter):
     """f at the n azimuths 2*pi*(j + shift)/n on each circle krho[r] (at kz[r]),
-    one row per circle.  Rows go to the spectrum in blocks of at most
-    _BLOCK_ELEMENTS elements, one row at least."""
-    phi = 2.0 * math.pi * (np.arange(n) + shift) / n
-    cos, sin = np.cos(phi), np.sin(phi)
-    out = np.empty((krho.size, n), dtype=complex)
-    step = max(1, _BLOCK_ELEMENTS // n)
-    for lo in range(0, krho.size, step):
-        rows = slice(lo, lo + step)
-        kx = krho[rows, None] * cos
-        ky = krho[rows, None] * sin
-        count.n += kx.size
-        out[rows] = f.evaluate(kx, ky, np.broadcast_to(kz[rows, None], kx.shape), k0)
-    return out
+    one row per circle: the oracle's one spectrum call, counted here (n = 1
+    gives the radial rows, with ky = +0.0).  Callers keep a call within
+    _BLOCK_ELEMENTS elements, one ring at least."""
+    kx, ky = krho[:, None] * _circle(n, shift)
+    count.n += kx.size
+    # a copy costs less than np.broadcast_to at these sizes
+    return f.evaluate(kx, ky, kz[:, None].repeat(n, axis=1), k0)
 
 
 def _ring_coefficients(f, krho, kz, k0: float, rel_tol: float, count: _Counter):
@@ -303,29 +309,32 @@ def _ring_coefficients(f, krho, kz, k0: float, rel_tol: float, count: _Counter):
     row's coefficients, from an FFT along the ring, are cut above the highest
     order whose tail from there up still exceeds _CUT_SHARE of its floor, so
     a row's sum does not depend on the rows that share its group.
-    Rings wider than _RING_ELEMENTS in all are doubled in smaller groups of
-    rows, one row at least.
+    Each spectrum call takes at most _BLOCK_ELEMENTS // size rows (one row
+    at least) of size fresh nodes each.
     """
     from numpy.fft import fft  # here: importing asx must not load numpy.fft
 
     # noise floor for the radial error estimator sitting on top of this
     floor = (rel_tol / 30.0) ** 2
     twiddles = {}  # ring size -> exp(-i*pi*m/size)/size, m = 0..size-1
-    # rows and the coefficients of their ring so far; the first ring and its
-    # first doubling are one call of 2*_RING_START nodes
-    work = [(np.arange(krho.size), None)]
+    # rows and the coefficients of their ring so far, none before the first
+    # call (2*_RING_START nodes: the first ring and its first doubling)
+    work = [(np.arange(krho.size), np.empty((krho.size, 0), dtype=complex))]
     while work:
         rows, c = work.pop()
-        if c is None:
-            c = fft(_ring_values(f, krho, kz, k0, 2 * _RING_START, 0.0, count), axis=1)
-            c /= 2 * _RING_START
+        size = c.shape[1] or 2 * _RING_START  # the nodes this call adds
+        step = max(1, _BLOCK_ELEMENTS // size)
+        if rows.size > step:  # the other rows wait for their own call
+            work.append((rows[step:], c[step:]))
+            rows, c = rows[:step], c[:step]
+        shift = 0.5 if c.shape[1] else 0.0  # a doubling's nodes sit halfway
+        fresh = fft(_ring_values(f, krho[rows], kz[rows], k0, size, shift, count), axis=1)
+        if not c.shape[1]:
+            c = fresh / size
         else:
-            # the new nodes sit halfway between the old ones: one butterfly
-            # joins their transform to the ring's
-            size = c.shape[1]
+            # one butterfly joins the transform of the new nodes to the ring's
             if size not in twiddles:
                 twiddles[size] = np.exp(-1j * math.pi * np.arange(size) / size) / size
-            fresh = fft(_ring_values(f, krho[rows], kz[rows], k0, size, 0.5, count), axis=1)
             fresh *= twiddles[size]
             c = 0.5 * np.concatenate((c + fresh, c - fresh), axis=1)
         n = c.shape[1] // 2  # the band: orders -n..n, order -m at column 2n - m
@@ -350,10 +359,7 @@ def _ring_coefficients(f, krho, kz, k0: float, rel_tol: float, count: _Counter):
             orders[:, top + 1 :][cut[:, ::-1]] = 0.0
             yield rows[passed], orders
         if not passed.all():
-            rows, c = rows[~passed], c[~passed]
-            step = max(1, _RING_ELEMENTS // (4 * n))
-            for lo in reversed(range(0, rows.size, step)):
-                work.append((rows[lo : lo + step], c[lo : lo + step]))
+            work.append((rows[~passed], c[~passed]))
 
 
 def _bessel_sum(c: np.ndarray, x: np.ndarray, p: ObservationPoint) -> np.ndarray:
@@ -396,9 +402,7 @@ def _phi_integrals(
     """
     x = krho * p.rho_xy
     if f.radial:
-        count.n += krho.size
-        c = f.evaluate(krho, np.zeros(krho.shape), kz, k0)
-        return _bessel_sum(c[:, None], x, p)
+        return _bessel_sum(_ring_values(f, krho, kz, k0, 1, 0.0, count), x, p)
     out = np.empty(krho.size, dtype=complex)
     for rows, c in _ring_coefficients(f, krho, kz, k0, rel_tol, count):
         out[rows] = _bessel_sum(c, x[rows], p)
@@ -468,16 +472,8 @@ def _tail_bound(f, p, k0, s_max, count) -> float:
     2*pi * max|f| * exp(-s_max*z) * ((s_max + k0)/z + 1/z^2), with max|f|
     probed on an 8 x 8 grid of s and phi."""
     probe_s = np.linspace(s_max, s_max * 1.5 + 1.0, 8)
-    krho = np.sqrt(k0 * k0 + probe_s**2)[:, None]
-    phi = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
-    sample = f.evaluate(
-        krho * np.cos(phi),
-        krho * np.sin(phi),
-        np.broadcast_to((1j * probe_s)[:, None], (8, 8)),
-        k0,
-    )
-    count.n += sample.size
-    fmax = float(np.max(np.abs(sample)))
+    krho = np.sqrt(k0 * k0 + probe_s**2)
+    fmax = float(np.max(np.abs(_ring_values(f, krho, 1j * probe_s, k0, 8, 0.0, count))))
     z = p.z
     return 2.0 * math.pi * fmax * math.exp(-s_max * z) * ((s_max + k0) / z + 1.0 / (z * z))
 
@@ -535,6 +531,8 @@ def oracle_eval(
     def push_panels(leg: int, a: float, b: float, panels: int):
         edges = np.linspace(a, b, panels + 1)
         for left, right in zip(edges[:-1], edges[1:]):
+            if count.capped:  # the value cannot converge: stop paying for it
+                break
             push(leg, left, right)
 
     # initial panel density scales linearly with the total phase

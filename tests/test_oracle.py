@@ -334,12 +334,13 @@ class TestAzimuthalPaths:
 
         probe = SpectrumFunction(label="probe", radial=False, _fn=recording)
         oracle_eval(probe, ObservationPoint(28, 0, 12), 1.0)
-        # k_max puts the last rows at bandwidth ~1.2e3, beyond one block
+        # k_max puts the last rows at the bandwidth ~2e3 of f, on rings of
+        # 8192 nodes, beyond one block
         oracle_eval(
             probe,
             ObservationPoint(10, 0, 0.01),
             1.0,
-            QuadratureConfig(k_max=150.0, max_panels=16),
+            QuadratureConfig(k_max=250.0, max_panels=16),
         )
         assert all(size <= max(_BLOCK_ELEMENTS, n) for size, n in calls)
         assert any(size > n for size, n in calls)
@@ -347,13 +348,42 @@ class TestAzimuthalPaths:
 
     def test_azimuthal_cap_stops_the_radial_refinement(self):
         # once a ring is capped the value cannot converge, so no further
-        # radial panel is split for it
+        # radial panel is pushed or split for it: the first panel's 48 rings
+        # and the 8 x 8 tail probe
         from asx import parse_spectrum
+        from asx.oracle import _MAX_PHI_NODES, _PANEL_NODES
 
         res = oracle_eval(parse_spectrum("sqrt(kx)"), ObservationPoint(0, 0, 5), 1.0)
         assert not res.converged
         assert "azimuthal cap" in res.limit
-        assert res.evaluations < 30_000_000
+        assert res.evaluations <= 3 * _PANEL_NODES * _MAX_PHI_NODES + 64
+
+    # off axis, rho_xy = 0.5 keeps the Bessel sums of the capped rings (16k
+    # orders) in the power series
+    @pytest.mark.parametrize("point", [(0, 0, 5), (0.3, 0.4, 5)], ids=["axis", "off-axis"])
+    @pytest.mark.parametrize(
+        "spectrum",
+        ["weyl", "i/(2*pi*kz)*exp(-1.5*i*kx + 0.75*i*ky)", "sqrt(kx)"],
+        ids=["radial", "ring", "capped"],
+    )
+    def test_evaluations_count_every_element_handed_to_the_spectrum(self, spectrum, point):
+        # radial rows, rings, capped rings and the tail probe all reach the
+        # spectrum as kx, ky, kz of one 2-D shape, and evaluations is the sum
+        # of their elements
+        from asx import parse_spectrum
+
+        inner = weyl() if spectrum == "weyl" else parse_spectrum(spectrum)
+        shapes = []
+
+        def recording(kx, ky, kz, k0):
+            shapes.append((np.shape(kx), np.shape(ky), np.shape(kz)))
+            return inner.evaluate(kx, ky, kz, k0)
+
+        probe = SpectrumFunction(label="probe", radial=inner.radial, _fn=recording)
+        res = oracle_eval(probe, ObservationPoint(*point), 1.0)
+        assert res.converged == (spectrum != "sqrt(kx)")
+        assert all(len(x) == 2 and x == y == z for x, y, z in shapes)
+        assert res.evaluations == sum(math.prod(x) for x, _, _ in shapes)
 
 
 def bessel(x, order):
