@@ -16,7 +16,6 @@ from .asymptotics import (
 )
 from .errors import (
     AsxError,
-    BranchContinuationError,
     ConfigError,
     ConvergenceError,
     DivergenceError,
@@ -60,7 +59,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AsxError",
     "AsymptoticResult",
-    "BranchContinuationError",
     "ComparisonRecord",
     "ConfigError",
     "ConvergenceError",

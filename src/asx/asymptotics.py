@@ -34,7 +34,6 @@ from .oracle import _leggauss
 from .spectra import SpectrumFunction
 from .spectral import (
     ObservationPoint,
-    SaddleData,
     _phase_grid,
     local_half_width,
     saddle_point,
@@ -77,7 +76,6 @@ class AsymptoticResult:
     k0r: float
     theta: float
     theta0: float
-    saddle: SaddleData
     spectrum_at_saddle: complex
 
     @property
@@ -145,7 +143,6 @@ def leading_order(
         k0r=s.k0r,
         theta=theta,
         theta0=s.theta0,
-        saddle=s,
         spectrum_at_saddle=fs,
     )
 

@@ -17,7 +17,6 @@ import numpy as np
 from . import harness
 from .asymptotics import leading_order
 from .errors import (
-    BranchContinuationError,
     ConfigError,
     ConvergenceError,
     DomainError,
@@ -234,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"asx: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (ConvergenceError, SpectrumEvaluationError, BranchContinuationError) as exc:
+    except (ConvergenceError, SpectrumEvaluationError) as exc:
         print(f"asx: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED
 

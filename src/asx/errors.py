@@ -21,15 +21,6 @@ class DomainError(AsxError, ValueError):
     """Geometric domain violation: z <= 0, r = 0, grazing observation."""
 
 
-class BranchContinuationError(AsxError, ArithmeticError):
-    """The tracked image of k_z^2 crossed the negative real axis.
-
-    Raised by the steepest-descent parametrization when the analytic
-    continuation of k_z from the saddle can no longer be certified as the
-    principal square root.
-    """
-
-
 class ConvergenceError(AsxError, ArithmeticError):
     """A numerical procedure failed its convergence check."""
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchContinuationError, DomainError, require_positive
+from .errors import DomainError, require_positive
 
 __all__ = [
     "ObservationPoint",
@@ -94,7 +94,7 @@ def kz_branch(kx, ky, k0):
     the circle ``kx^2 + ky^2 <= k0^2`` and purely imaginary with positive
     imaginary part outside.  For complex arguments (points of the
     steepest-descent path) it is the analytic continuation from the saddle;
-    see :func:`_sdp_grid` for the certification of that claim.
+    :func:`_sdp_grid` shows why.
 
     Accepts scalars or numpy arrays.  ``kz = 0`` on the branch circle is
     returned as-is; callers handle it.
@@ -147,47 +147,17 @@ def local_half_width(k0r: float) -> float:
     return 6.0 / math.sqrt(require_positive("k0r", k0r))
 
 
-def _certify_on_sheet(s: SaddleData, xi, eta) -> None:
-    """Check that k_z^2 stays off the negative real axis along the rays
-    from the saddle to each (xi, eta).
-
-    On the straight ray t -> (t*xi, t*eta) the image is, relative to kzs^2,
-
-        w(t) = 1 - 2*u*t + 2i*(u*t + v2*t^2),
-        u = (kxs*xi + kys*eta)/kzs,   v2 = xi^2 + eta^2.
-
-    Im(w) vanishes only at t = 0 and t* = -u/v2; a branch-cut crossing
-    needs Re(w(t*)) <= 0 with t* in (0, 1].  Geometrically Re(w(t*)) =
-    1 + 2*u^2/v2 > 0, so this never fires in exact arithmetic; the check
-    certifies that claim against the actual floating-point numbers.
-    """
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    u = (s.kxs * xi + s.kys * eta) / s.kzs
-    v2 = xi * xi + eta * eta
-    # v2 = 0 only at the saddle itself, where no ray exists: park t* off-path
-    t_star = np.where(v2 > 0.0, -u / np.where(v2 > 0.0, v2, 1.0), -1.0)
-    on_path = (t_star > 0.0) & (t_star <= 1.0)
-    re_at_star = 1.0 - 2.0 * u * t_star
-    if np.any(on_path & (re_at_star <= 0.0)):
-        raise BranchContinuationError(
-            "k_z^2 crossed the negative real axis along the local path; "
-            "the principal square root no longer continues the saddle branch"
-        )
-
-
 def _sdp_grid(s: SaddleData, xi, eta):
     """Steepest-descent map of local coordinates: returns (kx, ky, kz).
 
-    ``kx = kxs + kzs*(1-i)*xi`` and ``ky = kys + kzs*(1-i)*eta``; ``kz`` is
-    the analytic continuation of the top-sheet branch from the saddle,
-    equal to ``kzs`` at the origin.  ``xi`` and ``eta`` are scalars or
-    arrays that broadcast against each other.  The continuation is
-    certified before the square root is taken; a crossing of ``k_z^2``
-    over the negative real axis raises
-    :class:`~asx.errors.BranchContinuationError`.
+    ``kx = kxs + kzs*(1-i)*xi`` and ``ky = kys + kzs*(1-i)*eta`` over
+    scalars or arrays xi, eta that broadcast against each other.  ``kz`` is
+    the principal root, which continues the top-sheet branch from ``kzs`` at
+    the origin: on the ray t*(xi, eta), ``kz^2/kzs^2 = w(t) =
+    1 - 2*u*t + 2i*(u*t + v2*t^2)`` with ``u = (kxs*xi + kys*eta)/kzs`` and
+    ``v2 = xi^2 + eta^2``.  Im(w) is zero only at t = 0 and t* = -u/v2,
+    where ``Re(w) = 1 + 2*u^2/v2 >= 1``: kz^2 never meets the branch cut.
     """
-    _certify_on_sheet(s, xi, eta)
     slope = s.kzs * (1.0 - 1.0j)
     kx = s.kxs + slope * np.asarray(xi)
     ky = s.kys + slope * np.asarray(eta)

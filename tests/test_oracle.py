@@ -406,47 +406,50 @@ BESSEL_X = np.concatenate(
 
 
 class TestBesselJ0:
-    """J0 behind the radial path, against scipy.special.j0."""
+    """J0 behind the radial path, against scipy.special.jv(0, x): j0 rounds
+    x - pi/4 and is off by 4.3e-14 near x = 2.7e5, jv is not."""
 
     def test_matches_scipy_over_the_oracle_range(self):
-        from scipy.special import j0
+        from scipy.special import jv
 
-        assert np.max(np.abs(bessel(BESSEL_X, 0) - j0(BESSEL_X))) <= 1e-15
+        assert np.max(np.abs(bessel(BESSEL_X, 0) - jv(0, BESSEL_X))) <= 1e-15
         # the recurrence order and the number of Hankel terms follow the
         # extreme x of each call, so calls over narrow ranges must hold too
         chunks = np.array_split(np.sort(BESSEL_X), 2_000)
-        assert max(np.max(np.abs(bessel(c, 0) - j0(c))) for c in chunks) <= 1e-15
+        assert max(np.max(np.abs(bessel(c, 0) - jv(0, c))) for c in chunks) <= 1e-15
 
     def test_zero_and_tiny_arguments(self):
         # the recurrence would overflow like (2n/x)^n near 0; no warning,
         # J0(0) exactly 1
         import warnings
 
-        from scipy.special import j0
+        from scipy.special import jv
 
         x = np.array([0.0, 5e-324, 1e-300, 1e-3])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             values = bessel(x, 0)
         assert values[0] == 1.0
-        assert np.max(np.abs(values - j0(x))) <= 1e-15
+        assert np.max(np.abs(values - jv(0, x))) <= 1e-15
 
 
 class TestBesselOrders:
     """J1 and the J_m of all orders behind the ring path, against scipy."""
 
     def test_j1_matches_scipy_over_the_oracle_range(self):
-        from scipy.special import j1
+        # against jv(1, x), not j1, which rounds x - 3*pi/4 as j0 does
+        from scipy.special import jv
 
-        assert np.max(np.abs(bessel(BESSEL_X, 1) - j1(BESSEL_X))) <= 1e-15
+        assert np.max(np.abs(bessel(BESSEL_X, 1) - jv(1, BESSEL_X))) <= 1e-15
         chunks = np.array_split(np.sort(BESSEL_X), 2_000)
-        assert max(np.max(np.abs(bessel(c, 1) - j1(c))) for c in chunks) <= 1e-15
+        assert max(np.max(np.abs(bessel(c, 1) - jv(1, c))) for c in chunks) <= 1e-15
 
     @pytest.mark.parametrize("top", [2, 7, 64, 300])
     def test_orders_match_scipy_jv(self, top):
         # forward recurrence where x >= max(25, top), Miller's below, the
-        # power series below 1; orders up to 64 are checked.  The error
-        # grows like sqrt(x): the rounding of x - pi/4 in Hankel's J0
+        # power series below 1; orders up to 64 are checked.  The bound
+        # grows like sqrt(x) for jv's own error at high orders: at order 64,
+        # x = 1849, jv is off by 2.9e-14 and _bessel_orders by 5e-19
         from scipy.special import jv
 
         from asx.oracle import _bessel_orders
@@ -557,6 +560,45 @@ class TestJacobiAngerPath:
         assert res.converged
         assert abs(res.value - translated_wave(p)) <= res.est_error
         assert res.evaluations < 2_000_000
+
+    @pytest.mark.parametrize("x_max", [0.0, 5e-324, 0.3, 7.0, 60.0, 900.0])
+    def test_bessel_sum_stops_where_the_orders_add_only_rounding(self, monkeypatch, x_max):
+        # |J_m(x)| <= (x/2)^m/m! for x <= x_max: from the first m >= x_max
+        # where that is below e^-42 the orders add only rounding, so the
+        # sum stops there (at x_max = 900 it stays at the full top)
+        from asx import oracle
+
+        def plain_cap(top):
+            for m in range(max(1, math.ceil(x_max)), top + 1):
+                log_bound = m * (math.log(x_max) - math.log(2.0)) if x_max else -math.inf
+                if log_bound - math.lgamma(m + 1) <= -42.0:
+                    return m
+            return top
+
+        top = 800
+        rng = np.random.default_rng(23)
+        x = x_max * np.linspace(0.0, 1.0, 9)
+        c = rng.normal(size=(x.size, 2 * top + 1)) + 1j * rng.normal(size=(x.size, 2 * top + 1))
+        p = ObservationPoint(3, -4, 5)
+        tops = []
+        orders = oracle._bessel_orders
+
+        def recorded(x, top):
+            tops.append(top)
+            return orders(x, top)
+
+        monkeypatch.setattr(oracle, "_bessel_orders", recorded)
+        capped = oracle._bessel_sum(c, x, p)
+        assert tops == [plain_cap(top)]
+        assert (tops[0] < top) == (x_max < 900.0)
+        monkeypatch.setattr(oracle, "_order_cap", lambda x_max, top: top)
+        full = oracle._bessel_sum(c, x, p)
+        assert tops[1] == top
+        # within the rounding of the sum: 1e-15 of 2*pi*sum |c_m*J_m(x)|
+        # (|J_-m| = |J_m|), as these random c_m can cancel in the value
+        j = np.abs(orders(x, top))
+        scale = 2 * math.pi * np.sum(np.abs(c) * np.concatenate((j, j[:0:-1])).T, axis=1)
+        assert np.max(np.abs(capped - full) / scale) <= 1e-15
 
     def test_parsed_weyl_takes_the_radial_path(self):
         # i/(2*pi*kz) names neither kx nor ky, so it is radial: the same

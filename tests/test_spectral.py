@@ -150,11 +150,37 @@ class TestSdpMap:
             kx, ky, kz = _sdp_grid(s, xi, eta)
             assert_allclose(kx**2 + ky**2 + kz**2, k0 * k0, rtol=1e-12, atol=1e-14)
 
-    def test_continuation_stays_certified_on_wide_windows(self):
-        # the certificate should hold far beyond the default window
-        s = saddle_point(ObservationPoint(30, -40, 5), 1.0)
-        grid = np.linspace(-5.0, 5.0, 41)
-        _sdp_grid(s, grid[:, None], grid[None, :])
+    def test_principal_root_continues_the_saddle_branch_on_wide_windows(self):
+        # Follow kz from kzs along the ray to each (xi, eta), taking at each
+        # step the root of k0^2 - kx^2 - ky^2 nearer the previous one; the
+        # principal root _sdp_grid takes must land on the same branch.
+        rng = np.random.default_rng(17)
+        thetas = np.concatenate(([1.0, 1e-3], 10.0 ** rng.uniform(-3.0, 0.0, 8)))
+        saddles = []
+        for theta in thetas:
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            rho = math.sqrt(1.0 - theta * theta)
+            p = ObservationPoint(rho * math.cos(phi), rho * math.sin(phi), theta)
+            saddles.append(saddle_point(p, 1.0))
+        kxs, kys, kzs = np.array([(s.kxs, s.kys, s.kzs) for s in saddles]).T[:, :, None]
+        corners = np.array([[5.0, 5.0, -5.0, -5.0], [5.0, -5.0, 5.0, -5.0]])
+        xi, eta = np.concatenate((rng.uniform(-5.0, 5.0, (2, 64)), corners), axis=1)
+        slope = kzs * (1.0 - 1.0j)
+        kz = kzs.astype(complex)
+        worst = 0.0
+        steps = 2048
+        # steps graded as t^2 near the saddle, where a far off-axis saddle
+        # (|u| up to 7e3 at theta = 1e-3) turns kz^2 fastest
+        for t in (np.arange(1, steps + 1) / steps) ** 2:
+            kx = kxs + slope * (t * xi)
+            ky = kys + slope * (t * eta)
+            root = np.sqrt(1.0 - kx * kx - ky * ky)
+            near, far = abs(root - kz), abs(root + kz)
+            worst = max(worst, float(np.max(np.minimum(near, far) / np.maximum(near, far))))
+            kz = np.where(near <= far, root, -root)
+        assert worst < 0.1  # no step comes close to a tie between the roots
+        for s, continued in zip(saddles, kz):
+            assert_allclose(_sdp_grid(s, xi, eta)[2], continued, rtol=1e-12)
 
 
 def phase(s, p, xi, eta) -> complex:
