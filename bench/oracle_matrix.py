@@ -6,20 +6,24 @@ Runs ``oracle_eval`` (rel_tol 1e-7, k0 = 1, azimuth 0.4) on 27 cases:
 the spectra weyl, gauss (gaussian(2)) and tweyl (a parsed translated
 Weyl) of perfbench/reference.py, theta in {1, .7, .3}, k0*r in
 {20, 100, 300}, then weyl and tweyl at three points near grazing:
-(299.9, 0, 0.5), (299.9, 0, 5) and (100, 0, 3).  Each case records seconds, ``evaluations``,
-``est_error``, ``converged`` and the true error where an exact form
-exists (the two Weyl spectra are spherical waves, also from
-perfbench/reference.py).  It also runs the 72-case honesty grid, exact
-Weyl at theta in {1, .9, .7, .5, .3, .15}, k0*r in {5, 20, 80, 250} and
-rel_tol in {1e-4, 1e-7, 1e-10}, and keeps the worst ratio of true error
-to ``est_error``.
+(299.9, 0, 0.5), (299.9, 0, 5) and (100, 0, 3).  Each case records
+seconds, ``evaluations``, ``est_error``, ``converged`` and the true error
+where an exact form exists (the two Weyl spectra are spherical waves,
+also from perfbench/reference.py).  It also records ``spectrum_calls``,
+the calls the oracle made to the spectrum, counted in a second, untimed
+run through a recording wrapper around the spectrum's ``evaluate``.
+Then it runs the 72-case honesty grid, exact Weyl at theta in
+{1, .9, .7, .5, .3, .15}, k0*r in {5, 20, 80, 250} and rel_tol in
+{1e-4, 1e-7, 1e-10}, and keeps the worst ratio of true error to
+``est_error``.
 
 The asx under OTHER_CHECKOUT/src ("before") and the one beside this
 script ("after") each run in a fresh interpreter, alternating, REPEATS
 times; a case keeps its fastest time.  The summary gives the range of the
-relative change in ``evaluations``, and the largest change of ``value`` in
-units of the before side's ``est_error``.  Needs only the standard library
-and what asx itself imports (numpy).
+relative change in ``evaluations``, the range of ``spectrum_calls`` on
+each side, and the largest change of ``value`` in units of the before
+side's ``est_error``.  Needs only the standard library and what asx itself
+imports (numpy).
 """
 
 from __future__ import annotations
@@ -67,6 +71,17 @@ def measure(src: str) -> dict:
         weyl,
     )
     from asx.harness import point_from_parameters
+    from asx.spectra import SpectrumFunction
+
+    def spectrum_calls(f, p) -> int:
+        calls = []
+
+        def recording(kx, ky, kz, k0):
+            calls.append(None)
+            return f.evaluate(kx, ky, kz, k0)
+
+        oracle_eval(SpectrumFunction(label=f.label, radial=f.radial, _fn=recording), p, 1.0)
+        return len(calls)
 
     points = [
         (key, theta, k0r, point_from_parameters(theta, k0r, 1.0, AZIMUTH))
@@ -93,6 +108,7 @@ def measure(src: str) -> dict:
                 "seconds": seconds,
                 "value": [res.value.real, res.value.imag],
                 "evaluations": res.evaluations,
+                "spectrum_calls": spectrum_calls(f, p),
                 "est_error": res.est_error,
                 "true_error": abs(res.value - exact(key, p)) if key in EXACT else None,
                 "converged": res.converged,
@@ -181,6 +197,13 @@ def main(argv: list[str] | None = None) -> int:
                 a["value_change_over_est_error"] for a in after["cases"]
             ),
             "evaluations_change": [min(evaluations_changes), max(evaluations_changes)],
+            "spectrum_calls": {
+                side: [min(calls), max(calls)]
+                for side, calls in (
+                    ("before", [b["spectrum_calls"] for b in before["cases"]]),
+                    ("after", [a["spectrum_calls"] for a in after["cases"]]),
+                )
+            },
             "converged_not_worse": all(
                 a["converged"] or not b["converged"]
                 for a, b in zip(after["cases"], before["cases"])

@@ -21,9 +21,9 @@ design optimizes for controlled error rather than speed:
 * any other (parsed) spectrum is sampled on a ring of nodes per radial
   node, doubled onto itself until the Fourier tail of f is below the
   row's floor; the c_m come from an FFT along the ring;
-* every sample of f (radial rows, rings and the tail probe) is taken by
-  one circle sampler, _ring_values, in one spectrum call of at most
-  _BLOCK_ELEMENTS elements (one ring if wider), and counted there;
+* every sample of f (radial rows, rings and the tail probe) is taken and
+  counted by one circle sampler, _ring_values, in one spectrum call of at
+  most _BLOCK_ELEMENTS elements (one ring if wider, 85 panels if radial);
 * J_m for all orders of a call comes from one in-module recurrence: the
   power series, Miller's backward recurrence, or Hankel's expansion for
   J0 and J1 followed by the forward recurrence; orders where
@@ -31,8 +31,9 @@ design optimizes for controlled error rather than speed:
 * both legs share one heap of adaptive Gauss-Legendre panels (interior
   nodes, so the branch circle itself is never evaluated), refined
   worst-first until the summed panel error estimate meets
-  rel_tol * |value|; a ring stopped at its node cap ends the refinement
-  and the pushing of initial panels, since the value cannot converge.
+  rel_tol * |value|; panels are evaluated in batches of at most 85 (a
+  leg's initial panels, a tail extension, a split pair), and a ring
+  stopped at its node cap ends its batch and the run.
 
 Cost grows with k0*r (and, for a parsed spectrum, with the bandwidth of f),
 so the oracle refuses k0*r above ORACLE_K0R_ENVELOPE.  Identical inputs
@@ -113,9 +114,9 @@ class OracleResult:
 
     ``limit`` names what stopped the run short of ``rel_tol`` (empty when
     it converged); ``est_error`` is the radial estimate and does not
-    include the residual of an azimuthal ring stopped at its cap.  Once a
-    ring caps no further panel is pushed, so the value and ``est_error``
-    of a capped run cover the panels pushed up to then.
+    include the residual of an azimuthal ring stopped at its cap.  A cap
+    ends the sampling: the value and ``est_error`` of a capped run cover
+    the rows sampled before it, and the rest of its batch of panels adds 0.
     """
 
     value: complex
@@ -290,8 +291,9 @@ def _circle(n: int, shift: float) -> np.ndarray:
 def _ring_values(f, krho, kz, k0: float, n: int, shift: float, count: _Counter):
     """f at the n azimuths 2*pi*(j + shift)/n on each circle krho[r] (at kz[r]),
     one row per circle: the oracle's one spectrum call, counted here (n = 1
-    gives the radial rows, with ky = +0.0).  Callers keep a call within
-    _BLOCK_ELEMENTS elements, one ring at least."""
+    gives the radial rows, with ky = +0.0).  _ring_coefficients keeps a
+    call of rings within _BLOCK_ELEMENTS elements (one ring at least), and
+    oracle_eval's batches of at most 85 panels keep a radial call there."""
     kx, ky = krho[:, None] * _circle(n, shift)
     count.n += kx.size
     # a copy costs less than np.broadcast_to at these sizes
@@ -421,25 +423,28 @@ def _phi_integrals(
     x = krho * p.rho_xy
     if f.radial:
         return _bessel_sum(_ring_values(f, krho, kz, k0, 1, 0.0, count), x, p)
-    out = np.empty(krho.size, dtype=complex)
+    out = np.zeros(krho.size, dtype=complex)  # rows past a cap add 0
     for rows, c in _ring_coefficients(f, krho, kz, k0, rel_tol, count):
         out[rows] = _bessel_sum(c, x[rows], p)
+        if count.capped:  # the value cannot converge: stop paying for it
+            break
     return out
 
 
-def _panel(h, a: float, b: float) -> tuple[complex, float]:
-    """Value of h over [a, b] by 2*_PANEL_NODES-point Gauss-Legendre, and
-    its distance from the _PANEL_NODES-point rule as the error; h takes
-    the nodes of both rules in one array."""
+def _panels(h, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values of h over the panels between consecutive edges by
+    2*_PANEL_NODES-point Gauss-Legendre, and their distances from the
+    _PANEL_NODES-point rule as the errors; h takes all nodes in one array."""
     coarse_nodes, coarse_weights = _leggauss(_PANEL_NODES)
     fine_nodes, fine_weights = _leggauss(2 * _PANEL_NODES)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    values = h(mid + half * np.concatenate((coarse_nodes, fine_nodes)))
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    nodes = mid[:, None] + half[:, None] * np.concatenate((coarse_nodes, fine_nodes))
+    values = h(nodes.ravel()).reshape(nodes.shape)
     # weighted sums by numpy's own reduction: the first np.dot faults
     # 128 KB of BLAS code into the resident set
-    coarse = half * (coarse_weights * values[:_PANEL_NODES]).sum()
-    fine = half * (fine_weights * values[_PANEL_NODES:]).sum()
-    return complex(fine), float(abs(fine - coarse))
+    coarse = half * (coarse_weights * values[:, :_PANEL_NODES]).sum(axis=1)
+    fine = half * (fine_weights * values[:, _PANEL_NODES:]).sum(axis=1)
+    return fine, np.abs(fine - coarse)
 
 
 def _leg_sums(heap) -> tuple[list[complex], list[float]]:
@@ -530,37 +535,34 @@ def oracle_eval(
 
     def h_prop(kz: np.ndarray) -> np.ndarray:
         krho = np.sqrt(np.maximum(k0 * k0 - kz * kz, 0.0))
-        phi_int = _phi_integrals(f, krho, kz, p, k0, cfg.rel_tol, count)
-        return kz * np.exp(1j * kz * p.z) * phi_int
+        return kz * np.exp(1j * kz * p.z) * _phi_integrals(f, krho, kz, p, k0, cfg.rel_tol, count)
 
     def h_evan(s: np.ndarray) -> np.ndarray:
         krho = np.sqrt(k0 * k0 + s * s)
-        phi_int = _phi_integrals(f, krho, 1j * s, p, k0, cfg.rel_tol, count)
-        return s * np.exp(-s * p.z) * phi_int
+        return s * np.exp(-s * p.z) * _phi_integrals(f, krho, 1j * s, p, k0, cfg.rel_tol, count)
 
     legs = (h_prop, h_evan)
     # worst-first; on equal errors the propagating leg, then the left edge
     heap: list[tuple[float, int, float, float, complex]] = []
 
-    def push(leg: int, a: float, b: float):
-        value, err = _panel(legs[leg], a, b)
-        heapq.heappush(heap, (-err, leg, a, b, value))
-
-    def push_panels(leg: int, a: float, b: float, panels: int):
-        edges = np.linspace(a, b, panels + 1)
-        for left, right in zip(edges[:-1], edges[1:]):
-            if count.capped:  # the value cannot converge: stop paying for it
+    def push_panels(leg: int, edges: np.ndarray):
+        step = _BLOCK_ELEMENTS // (3 * _PANEL_NODES)  # 85: one block of radial rows
+        for start in range(0, edges.size - 1, step):
+            if count.capped:
                 break
-            push(leg, left, right)
+            batch = edges[start : start + step + 1].tolist()
+            values, errors = _panels(legs[leg], np.array(batch))
+            for a, b, value, err in zip(batch, batch[1:], values.tolist(), errors.tolist()):
+                heapq.heappush(heap, (-err, leg, a, b, value))
 
     # initial panel density scales linearly with the total phase
     cap = max(8, cfg.max_panels // 4)
-    push_panels(_PROP, 0.0, k0, max(8, min(int(math.ceil(k0r / 4.0)), cap)))
-    push_panels(_EVAN, 0.0, s_max, max(8, int(math.ceil(min(p.rho_xy * s_max / 4.0, cap)))))
+    push_panels(_PROP, np.linspace(0.0, k0, max(8, min(int(math.ceil(k0r / 4.0)), cap)) + 1))
+    evan_panels = max(8, int(math.ceil(min(p.rho_xy * s_max / 4.0, cap))))
+    push_panels(_EVAN, np.linspace(0.0, s_max, evan_panels + 1))
     tail = _tail_bound(f, p, k0, s_max, count)
 
-    best_err = math.inf
-    limit = ""
+    best_err, limit = math.inf, ""
     while True:
         values, errors = _leg_sums(heap)
         total = values[_PROP] + values[_EVAN]
@@ -588,7 +590,7 @@ def oracle_eval(
                 limit = f"the evanescent cap k_max={cfg.k_max:g}"
                 break
             _check_bandwidth(p, k0, new_s_max)
-            push_panels(_EVAN, s_max, new_s_max, 4)
+            push_panels(_EVAN, np.linspace(s_max, new_s_max, 5))
             s_max = new_s_max
             tail = _tail_bound(f, p, k0, s_max, count)
             continue
@@ -596,9 +598,7 @@ def oracle_eval(
             limit = "the rounding floor of the radial panel errors"
             break
         _, leg, a, b, _ = heapq.heappop(heap)
-        mid = 0.5 * (a + b)
-        push(leg, a, mid)
-        push(leg, mid, b)
+        push_panels(leg, np.array([a, 0.5 * (a + b), b]))
 
     if count.capped:
         phi_limit = f"the {_MAX_PHI_NODES}-node azimuthal cap at {count.capped} radial nodes"

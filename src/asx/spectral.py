@@ -114,14 +114,15 @@ def saddle_point(p: ObservationPoint, k0: float) -> SaddleData:
     The saddle sits at ``(k0*x/r, k0*y/r)`` with ``kzs = k0*z/r > 0``; the
     validity threshold is ``theta0 = (k0*r)**-0.5``.  A product ``k0*r``
     that overflows or underflows is a :class:`~asx.errors.DomainError`, and
-    so is a direction cosine ``z/r`` or a ``kzs`` that underflows to 0: the
-    saddle would sit on the branch circle, a grazing observation.
+    so is a direction cosine ``z/r`` or a ``kzs`` that underflows below the
+    smallest normal float (``1/kzs`` could overflow): the saddle would sit
+    on the branch circle, a grazing observation.
     """
     require_positive("k0", k0)
     r = p.r
     k0r = require_positive("k0*r", k0 * r, DomainError)
     kzs = k0 * p.z / r
-    if not (p.z / r > 0.0 and kzs > 0.0):
+    if not min(p.z / r, kzs) >= sys.float_info.min:
         raise DomainError(
             f"direction cosine z/r = {p.z / r:g} underflows at z = {p.z:g}, "
             f"r = {r:g}: grazing observation is outside the domain"

@@ -222,6 +222,15 @@ class TestOracle:
         assert json.loads(out)["converged"] is False
         assert "the 64-node azimuthal cap at " in err
 
+    def test_default_azimuthal_cap_exits_4(self, capsys):
+        # sqrt(kx) has a branch point on every ring; the run stops at the
+        # first capped ring and prints what it sampled before it
+        argv = "oracle --spectrum-expr sqrt(kx) --point 0,0,5"
+        code, out, err = run_main(capsys, argv.split())
+        assert code == 4
+        assert json.loads(out)["converged"] is False
+        assert "the 32768-node azimuthal cap at 1 radial nodes" in err
+
     def test_kmax_cap_exits_4_and_names_the_cap(self, capsys):
         argv = "oracle --spectrum weyl --point 0,0,1 --kmax 2"
         code, out, err = run_main(capsys, argv.split())
@@ -462,6 +471,9 @@ BAD_INPUTS = [
     ("eval --spectrum weyl --point 1e308,0,1e-308", 3, 0),
     ("eval --spectrum gaussian(2) --point 1e308,0,1e-308", 3, 0),
     ("eval --spectrum weyl --k0 1e-308 --point 1e10,0,1e-308", 3, 0),
+    # a subnormal z/r: 1/kzs would overflow, and the oracle's cutoff does
+    ("eval --spectrum weyl --point 1,0,1e-320", 3, 0),
+    ("oracle --spectrum weyl --point 1,0,1e-320", 3, 0),
 ]
 
 

@@ -259,10 +259,17 @@ class TestAzimuthalPaths:
 
         count = _Counter()
         p = ObservationPoint(0, 0, 5)
+        f = parse_spectrum("sqrt(kx)")
         row = np.array([0.7])
-        _phi_integrals(parse_spectrum("sqrt(kx)"), row, row, p, 1.0, 1e-7, count)
+        _phi_integrals(f, row, row, p, 1.0, 1e-7, count)
         assert count.capped == 1
         assert count.n == _MAX_PHI_NODES
+        # the cap ends the call: of 300 rows, those not reached add 0
+        count = _Counter()
+        kz = np.linspace(0.05, 0.95, 300)
+        values = _phi_integrals(f, np.sqrt(1 - kz * kz), kz, p, 1.0, 1e-7, count)
+        assert count.capped == 1
+        assert np.count_nonzero(values) == 1
 
     def test_first_pass_beyond_the_cap_is_still_tested(self, monkeypatch):
         # with the cap below the first tested ring (32 nodes doubled once),
@@ -345,18 +352,51 @@ class TestAzimuthalPaths:
         assert all(size <= max(_BLOCK_ELEMENTS, n) for size, n in calls)
         assert any(size > n for size, n in calls)
         assert any(n > _BLOCK_ELEMENTS for _, n in calls)
+        # radial rows, one element each: the evanescent leg at (299.9, 0,
+        # 0.5) starts with 256 panels of 48 rows, taken 85 panels a call
+        radial = []
+
+        def radial_recording(kx, ky, kz, k0):
+            radial.append(np.size(kx))
+            return weyl().evaluate(kx, ky, kz, k0)
+
+        probe = SpectrumFunction(label="radial probe", radial=True, _fn=radial_recording)
+        assert oracle_eval(probe, ObservationPoint(299.9, 0, 0.5), 1.0).converged
+        assert max(radial) <= _BLOCK_ELEMENTS
+        assert max(radial) > _BLOCK_ELEMENTS // 2
+
+    def test_panels_are_evaluated_in_batches(self):
+        # weyl at k0r = 50, theta = theta0: a leg's initial panels, each tail
+        # extension and each split pair take one spectrum call (one panel a
+        # call took 52 calls for the same 2,528 evaluations)
+        from asx import point_from_parameters
+
+        calls = []
+
+        def recording(kx, ky, kz, k0):
+            calls.append(np.size(kx))
+            return weyl().evaluate(kx, ky, kz, k0)
+
+        probe = SpectrumFunction(label="probe", radial=True, _fn=recording)
+        res = oracle_eval(probe, point_from_parameters(1 / math.sqrt(50), 50.0, 1.0), 1.0)
+        assert res.converged
+        assert res.evaluations == sum(calls) == 2528
+        assert len(calls) <= 8
 
     def test_azimuthal_cap_stops_the_radial_refinement(self):
-        # once a ring is capped the value cannot converge, so no further
-        # radial panel is pushed or split for it: the first panel's 48 rings
-        # and the 8 x 8 tail probe
+        # once a ring is capped the value cannot converge, so nothing more is
+        # sampled: the first group of rows doubles its rings depth first, in
+        # one call of _BLOCK_ELEMENTS per ring size below the block and one
+        # ring per size from the block up to the cap; then the 8 x 8 tail
+        # probe
         from asx import parse_spectrum
-        from asx.oracle import _MAX_PHI_NODES, _PANEL_NODES
+        from asx.oracle import _BLOCK_ELEMENTS, _MAX_PHI_NODES, _RING_START
 
         res = oracle_eval(parse_spectrum("sqrt(kx)"), ObservationPoint(0, 0, 5), 1.0)
         assert not res.converged
-        assert "azimuthal cap" in res.limit
-        assert res.evaluations <= 3 * _PANEL_NODES * _MAX_PHI_NODES + 64
+        assert "azimuthal cap at 1 radial nodes" in res.limit
+        below = int(math.log2(_BLOCK_ELEMENTS // _RING_START)) * _BLOCK_ELEMENTS
+        assert res.evaluations <= below + _MAX_PHI_NODES - _BLOCK_ELEMENTS + 64
 
     # off axis, rho_xy = 0.5 keeps the Bessel sums of the capped rings (16k
     # orders) in the power series
@@ -613,6 +653,62 @@ class TestJacobiAngerPath:
             res = oracle_eval(parsed, p, 1.0)
             assert res.evaluations == built.evaluations
             assert abs(res.value - built.value) <= built.est_error
+
+
+def leg_integrands(f, p, count):
+    """oracle_eval's two leg integrands at k0 = 1, in kz and in s, each with
+    edges of panels on it."""
+    from asx.oracle import _phi_integrals
+
+    def prop(kz):
+        krho = np.sqrt(np.maximum(1.0 - kz * kz, 0.0))
+        return kz * np.exp(1j * kz * p.z) * _phi_integrals(f, krho, kz, p, 1.0, 1e-7, count)
+
+    def evan(s):
+        krho = np.sqrt(1.0 + s * s)
+        return s * np.exp(-s * p.z) * _phi_integrals(f, krho, 1j * s, p, 1.0, 1e-7, count)
+
+    return (prop, np.linspace(0.0, 1.0, 41)), (evan, np.linspace(0.0, 12.0, 61))
+
+
+class TestPanelBatches:
+    """_panels over many edges against one call per panel."""
+
+    @staticmethod
+    def batched_and_alone(f, p):
+        from asx.oracle import _Counter, _panels
+
+        count = _Counter()
+        for h, edges in leg_integrands(f, p, count):
+            alone = [_panels(h, edges[i : i + 2]) for i in range(edges.size - 1)]
+            yield _panels(h, edges), [np.concatenate(parts) for parts in zip(*alone)]
+        assert count.capped == 0
+
+    def test_on_axis_radial_panels_are_bit_identical(self):
+        # on axis a radial spectrum takes no Bessel call, so each element is
+        # computed alike whatever shares its call
+        for (values, errors), (one_values, one_errors) in self.batched_and_alone(
+            weyl(), ObservationPoint(0, 0, 5)
+        ):
+            assert np.array_equal(values, one_values)
+            assert np.array_equal(errors, one_errors)
+
+    @pytest.mark.parametrize("spectrum", ["weyl", TRANSLATED_WEYL])
+    def test_off_axis_panels_agree_to_rounding(self, spectrum):
+        # the Bessel kernels take their order and terms from the extremes of
+        # a call, so batching moves the values by rounding only.  J_m rounds
+        # in absolute terms, so the scale is the leg's largest panel: a panel
+        # near a zero of J0 reads up to 3e-15 relative to its own value
+        from asx import parse_spectrum
+
+        f = weyl() if spectrum == "weyl" else parse_spectrum(spectrum)
+        for point in ((20, -7, 2), (3, 4, 5), (-40, 25, 3)):
+            for (values, errors), (one_values, one_errors) in self.batched_and_alone(
+                f, ObservationPoint(*point)
+            ):
+                scale = np.max(np.abs(one_values))
+                assert np.max(np.abs(values - one_values)) <= 1e-15 * scale
+                assert np.max(np.abs(errors - one_errors)) <= 1e-15 * scale
 
 
 class TestSommerfeldPath:

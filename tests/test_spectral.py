@@ -11,7 +11,7 @@ from asx import (
     local_half_width,
     saddle_point,
 )
-from asx.errors import ConfigError
+from asx.errors import ConfigError, DomainError
 from asx.spectral import _phase_grid, _sdp_grid
 
 
@@ -104,6 +104,15 @@ class TestSaddlePoint:
         s = saddle_point(ObservationPoint(1, 1, 1), 2.0)
         assert_allclose((s.kxs, s.kys, s.kzs), (2 / math.sqrt(3),) * 3, rtol=1e-14)
         assert_allclose(s.kxs**2 + s.kys**2 + s.kzs**2, 4.0, rtol=1e-14)
+
+    def test_refuses_subnormal_direction_cosines(self):
+        # z/r = 1e-320, or kzs = k0*z/r = 1e-310 at a normal z/r: 1/kzs
+        # would overflow, so both are grazing observations
+        subnormal = ((ObservationPoint(1, 0, 1e-320), 1.0), (ObservationPoint(1, 0, 1e-10), 1e-300))
+        for p, k0 in subnormal:
+            with pytest.raises(DomainError, match="underflows"):
+                saddle_point(p, k0)
+        assert saddle_point(ObservationPoint(1, 0, 1e-300), 1.0).kzs == 1e-300
 
     def test_sphere_and_projection_identities(self):
         rng = np.random.default_rng(3)
