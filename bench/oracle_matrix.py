@@ -21,8 +21,9 @@ The asx under OTHER_CHECKOUT/src ("before") and the one beside this
 script ("after") each run in a fresh interpreter, alternating, REPEATS
 times; a case keeps its fastest time.  The summary gives the range of the
 relative change in ``evaluations``, the range of ``spectrum_calls`` on
-each side, and the largest change of ``value`` in units of the before
-side's ``est_error``.  Needs only the standard library and what asx itself
+each side, the largest change of ``value`` in units of the before side's
+``est_error``, and each side's worst ratio of true error to ``est_error``
+over the matrix cases with an exact form, beside that of the grid.  Needs only the standard library and what asx itself
 imports (numpy).
 """
 
@@ -153,6 +154,15 @@ def combine(runs: list[dict]) -> dict:
     return first
 
 
+def matrix_worst_ratio(side: dict) -> float:
+    """Worst true_error/est_error over the cases with an exact form."""
+    return max(
+        case["true_error"] / case["est_error"]
+        for case in side["cases"]
+        if case["true_error"] is not None
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--measure", metavar="SRC", help=argparse.SUPPRESS)
@@ -192,6 +202,7 @@ def main(argv: list[str] | None = None) -> int:
                 before["honesty"]["worst_ratio"],
                 after["honesty"]["worst_ratio"],
             ],
+            "matrix_worst_ratio": [matrix_worst_ratio(before), matrix_worst_ratio(after)],
             "max_value_rel_change": max(a["value_rel_change"] for a in after["cases"]),
             "max_value_change_over_est_error": max(
                 a["value_change_over_est_error"] for a in after["cases"]

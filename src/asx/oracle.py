@@ -23,17 +23,16 @@ design optimizes for controlled error rather than speed:
   row's floor; the c_m come from an FFT along the ring;
 * every sample of f (radial rows, rings and the tail probe) is taken and
   counted by one circle sampler, _ring_values, in one spectrum call of at
-  most _BLOCK_ELEMENTS elements (one ring if wider, 85 panels if radial);
+  most _BLOCK_ELEMENTS elements (one ring if wider, 195 panels if radial);
 * J_m for all orders of a call comes from one in-module recurrence: the
   power series, Miller's backward recurrence, or Hankel's expansion for
   J0 and J1 followed by the forward recurrence; orders where
   (x/2)^m/m! <= e^-42 at the call's largest x are left out of the sum;
-* both legs share one heap of adaptive Gauss-Legendre panels (interior
-  nodes, so the branch circle itself is never evaluated), refined
-  worst-first until the summed panel error estimate meets
-  rel_tol * |value|; panels are evaluated in batches of at most 85 (a
-  leg's initial panels, a tail extension, a split pair), and a ring
-  stopped at its node cap ends its batch and the run.
+* both legs share one heap of 21-point Gauss-Kronrod panels (interior
+  nodes, so the branch circle is never evaluated), split in rounds until
+  their summed |K21 - G10| and the tail bound meet rel_tol * |value|; a
+  leg's initial panels, a tail extension and a leg's halves of a round are
+  evaluated 195 panels a call, and a ring stopped at its cap ends the run.
 
 Cost grows with k0*r (and, for a parsed spectrum, with the bandwidth of f),
 so the oracle refuses k0*r above ORACLE_K0R_ENVELOPE.  Identical inputs
@@ -61,7 +60,6 @@ __all__ = [
 ]
 
 ORACLE_K0R_ENVELOPE = 300.0  # desk-scale limit on k0*r
-_PANEL_NODES = 16  # Gauss-Legendre size per panel; error gauged against 2x
 # Beyond this azimuthal bandwidth k_rho*rho_xy the point is too close to
 # grazing for the oracle.  A parsed spectrum's own bandwidth grows with k_rho
 # too, so the wall still bounds its rings; it holds for every spectrum, so one
@@ -70,6 +68,7 @@ _MAX_PHI_BANDWIDTH = float(1 << 18)
 _MAX_PHI_NODES = 1 << 15  # ring doubling stops here, flagged unless passed
 # Complex elements per spectrum call: 64 KB arrays, one ring at least
 _BLOCK_ELEMENTS = 1 << 12
+_PANEL_BATCH = _BLOCK_ELEMENTS // 21  # 195 panels of 21 radial rows a call
 _RING_START = 32  # nodes of the first ring of f on each circle
 # The orders cut from a ring's Bessel sum may take this share of its floor:
 # the cut error is spent in full, unlike the tail the doubling test bounds
@@ -113,10 +112,10 @@ class OracleResult:
     """Quadrature value with its split, error estimate and cost.
 
     ``limit`` names what stopped the run short of ``rel_tol`` (empty when
-    it converged); ``est_error`` is the radial estimate and does not
-    include the residual of an azimuthal ring stopped at its cap.  A cap
-    ends the sampling: the value and ``est_error`` of a capped run cover
-    the rows sampled before it, and the rest of its batch of panels adds 0.
+    it converged).  ``est_error`` sums the panels' |K21 - G10| and the tail
+    bound; it leaves out the residual of an azimuthal ring stopped at its
+    cap.  A cap ends the sampling: the value and ``est_error`` of a capped
+    run cover the rows sampled before it, and the rest of its round adds 0.
     """
 
     value: complex
@@ -137,6 +136,37 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = np.polynomial.legendre.leggauss(n)
     nodes.flags.writeable = False
     weights.flags.writeable = False
+    return nodes, weights
+
+
+@functools.cache
+def _kronrod() -> tuple[np.ndarray, np.ndarray]:
+    """The 21-point Gauss-Kronrod rule on [-1, 1], shared read-only, from the
+    eigenvectors of the Jacobi-Kronrod matrix that Laurie's algorithm (Math.
+    Comp. 66, 1997; Gautschi's r_kronrod) builds from the Legendre b_k; its
+    odd-index nodes are those of _leggauss(10), so G10 reuses the K21 rows."""
+    n, k = 10, np.arange(1, 16)  # b_0..b_15 seed it; every a_k = 0 (even weight)
+    b = np.concatenate(([2.0], k * k / (4.0 * k * k - 1.0), np.zeros(n // 2)))
+    s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        s[k + 1] = np.cumsum(b[k + n + 1] * s[k] - b[m - k] * s[k + 1])
+        s, t = t, s
+    s[1:] = s[:-1].copy()
+    for m in range(n - 1, 2 * n - 2):
+        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        j = n - 1 - m + k
+        s[j + 1] = np.cumsum(b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1])
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[j[-1] + 1] / s[j[-1] + 2]
+        s, t = t, s
+    nodes, vectors = np.linalg.eigh(np.diag(np.sqrt(b[1:]), -1))
+    nodes = 0.5 * (nodes - nodes[::-1])  # symmetric, as the rule is
+    nodes[1::2] = _leggauss(n)[0]
+    weights = vectors[0] ** 2 + vectors[0, ::-1] ** 2  # b_0 = 2 is their sum
+    weights *= 2.0 / weights.sum()
+    nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 
@@ -293,7 +323,7 @@ def _ring_values(f, krho, kz, k0: float, n: int, shift: float, count: _Counter):
     one row per circle: the oracle's one spectrum call, counted here (n = 1
     gives the radial rows, with ky = +0.0).  _ring_coefficients keeps a
     call of rings within _BLOCK_ELEMENTS elements (one ring at least), and
-    oracle_eval's batches of at most 85 panels keep a radial call there."""
+    oracle_eval's batches of at most 195 panels keep a radial call there."""
     kx, ky = krho[:, None] * _circle(n, shift)
     count.n += kx.size
     # a copy costs less than np.broadcast_to at these sizes
@@ -431,30 +461,18 @@ def _phi_integrals(
     return out
 
 
-def _panels(h, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values of h over the panels between consecutive edges by
-    2*_PANEL_NODES-point Gauss-Legendre, and their distances from the
-    _PANEL_NODES-point rule as the errors; h takes all nodes in one array."""
-    coarse_nodes, coarse_weights = _leggauss(_PANEL_NODES)
-    fine_nodes, fine_weights = _leggauss(2 * _PANEL_NODES)
-    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-    nodes = mid[:, None] + half[:, None] * np.concatenate((coarse_nodes, fine_nodes))
-    values = h(nodes.ravel()).reshape(nodes.shape)
+def _panels(h, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values of h over the panels [lo[i], hi[i]] by the 21-point Gauss-
+    Kronrod rule, with |K21 - G10| as their errors; h takes the nodes of all
+    panels in one array, so that disjoint panels share a call."""
+    nodes, weights = _kronrod()
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    values = h((mid[:, None] + half[:, None] * nodes).ravel()).reshape(lo.size, nodes.size)
     # weighted sums by numpy's own reduction: the first np.dot faults
     # 128 KB of BLAS code into the resident set
-    coarse = half * (coarse_weights * values[:, :_PANEL_NODES]).sum(axis=1)
-    fine = half * (fine_weights * values[:, _PANEL_NODES:]).sum(axis=1)
+    fine = half * (weights * values).sum(axis=1)
+    coarse = half * (_leggauss(10)[1] * values[:, 1::2]).sum(axis=1)
     return fine, np.abs(fine - coarse)
-
-
-def _leg_sums(heap) -> tuple[list[complex], list[float]]:
-    """Value and summed error estimate of each leg, panels taken left to
-    right, so the sums depend on the panel set only."""
-    values, errors = [0.0 + 0.0j, 0.0 + 0.0j], [0.0, 0.0]
-    for neg_err, leg, _, _, value in sorted(heap, key=lambda e: e[1:3]):
-        values[leg] += value
-        errors[leg] -= neg_err
-    return values, errors
 
 
 def _evanescent_cutoff(
@@ -541,30 +559,32 @@ def oracle_eval(
         krho = np.sqrt(k0 * k0 + s * s)
         return s * np.exp(-s * p.z) * _phi_integrals(f, krho, 1j * s, p, k0, cfg.rel_tol, count)
 
-    legs = (h_prop, h_evan)
     # worst-first; on equal errors the propagating leg, then the left edge
     heap: list[tuple[float, int, float, float, complex]] = []
 
-    def push_panels(leg: int, edges: np.ndarray):
-        step = _BLOCK_ELEMENTS // (3 * _PANEL_NODES)  # 85: one block of radial rows
-        for start in range(0, edges.size - 1, step):
+    def push(leg: int, lo: np.ndarray, hi: np.ndarray):  # panels [lo[i], hi[i]] of a leg
+        for start in range(0, lo.size, _PANEL_BATCH):
             if count.capped:
                 break
-            batch = edges[start : start + step + 1].tolist()
-            values, errors = _panels(legs[leg], np.array(batch))
-            for a, b, value, err in zip(batch, batch[1:], values.tolist(), errors.tolist()):
-                heapq.heappush(heap, (-err, leg, a, b, value))
+            a, b = lo[start : start + _PANEL_BATCH], hi[start : start + _PANEL_BATCH]
+            fine, errors = _panels((h_prop, h_evan)[leg], a, b)
+            entries = zip((-errors).tolist(), [leg] * a.size, a.tolist(), b.tolist(), fine.tolist())
+            for entry in entries:
+                heapq.heappush(heap, entry)
 
     # initial panel density scales linearly with the total phase
-    cap = max(8, cfg.max_panels // 4)
-    push_panels(_PROP, np.linspace(0.0, k0, max(8, min(int(math.ceil(k0r / 4.0)), cap)) + 1))
-    evan_panels = max(8, int(math.ceil(min(p.rho_xy * s_max / 4.0, cap))))
-    push_panels(_EVAN, np.linspace(0.0, s_max, evan_panels + 1))
+    for leg, top, phase in ((_PROP, k0, k0r), (_EVAN, s_max, p.rho_xy * s_max)):
+        edges = np.linspace(0.0, top, max(8, min(math.ceil(phase / 4.0), cfg.max_panels // 4)) + 1)
+        push(leg, edges[:-1], edges[1:])
     tail = _tail_bound(f, p, k0, s_max, count)
 
     best_err, limit = math.inf, ""
     while True:
-        values, errors = _leg_sums(heap)
+        # per leg, panels left to right: the sums depend on the panel set only
+        values, errors = [0.0 + 0.0j, 0.0 + 0.0j], [0.0, 0.0]
+        for neg_err, leg, _, _, value in sorted(heap, key=lambda e: e[1:3]):
+            values[leg] += value
+            errors[leg] -= neg_err
         total = values[_PROP] + values[_EVAN]
         err = errors[_PROP] + errors[_EVAN] + tail
         best_err = min(best_err, err)
@@ -585,20 +605,29 @@ def oracle_eval(
         # When the truncation bound dominates, pushing s_max out is the only
         # move that helps; each extension drops the bound a hundredfold.
         if tail >= 0.5 * err:
-            new_s_max = s_max + math.log(100.0) / p.z
-            if new_s_max > s_cap:
+            edges = np.linspace(s_max, s_max + math.log(100.0) / p.z, 5)
+            if edges[-1] > s_cap:
                 limit = f"the evanescent cap k_max={cfg.k_max:g}"
                 break
-            _check_bandwidth(p, k0, new_s_max)
-            push_panels(_EVAN, np.linspace(s_max, new_s_max, 5))
-            s_max = new_s_max
+            _check_bandwidth(p, k0, edges[-1])
+            push(_EVAN, edges[:-1], edges[1:])
+            s_max = float(edges[-1])
             tail = _tail_bound(f, p, k0, s_max, count)
             continue
         if -heap[0][0] <= 1e-16 * abs(total):
             limit = "the rounding floor of the radial panel errors"
             break
-        _, leg, a, b, _ = heapq.heappop(heap)
-        push_panels(leg, np.array([a, 0.5 * (a + b), b]))
+        # a round splits the worst panel and the next within a quarter of it
+        # until they cover the excess, fill a call of halves or the budget
+        worst, excess = -heap[0][0], err - cfg.rel_tol * abs(total)
+        room, split, covered = min(_PANEL_BATCH // 2, cfg.max_panels - len(heap)), [], 0.0
+        while heap and len(split) < room and covered < excess and -heap[0][0] >= 0.25 * worst:
+            split.append(heapq.heappop(heap))
+            covered -= split[-1][0]
+        for leg in (_PROP, _EVAN):
+            lo, hi = np.array([entry[2:4] for entry in split if entry[1] == leg]).reshape(-1, 2).T
+            mid = 0.5 * (lo + hi)
+            push(leg, np.concatenate((lo, mid)), np.concatenate((mid, hi)))
 
     if count.capped:
         phi_limit = f"the {_MAX_PHI_NODES}-node azimuthal cap at {count.capped} radial nodes"

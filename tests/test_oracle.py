@@ -235,6 +235,54 @@ class TestNodeCache:
             weights[0] = 0.0
 
 
+class TestKronrodRule:
+    """The 21-point Gauss-Kronrod panel rule, built by Laurie's algorithm."""
+
+    def test_matches_the_table_of_scipy(self, monkeypatch):
+        # scipy keeps its G10K21 table inside _quadrature_gk21, which hands
+        # it on to _quadrature_gk: it is caught there
+        import scipy.integrate._quad_vec as quad_vec
+
+        from asx.oracle import _kronrod
+
+        table = {}
+        inner = quad_vec._quadrature_gk
+
+        def catching(a, b, f, norm_func, x, w, v):
+            table.update(nodes=np.array(x, dtype=float), weights=np.array(v))
+            return inner(a, b, f, norm_func, x, w, v)
+
+        monkeypatch.setattr(quad_vec, "_quadrature_gk", catching)
+        quad_vec._quadrature_gk21(-1.0, 1.0, lambda t: t, abs)
+        order = np.argsort(table["nodes"])
+        nodes, weights = _kronrod()
+        assert np.max(np.abs(nodes - table["nodes"][order])) <= 2e-15
+        assert np.max(np.abs(weights - table["weights"][order])) <= 2e-15
+
+    @pytest.mark.parametrize("k", range(32))
+    def test_integrates_monomials_up_to_degree_31(self, k):
+        from asx.oracle import _kronrod
+
+        nodes, weights = _kronrod()
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs((weights * nodes**k).sum() - exact) <= 1e-15
+
+    def test_gauss_nodes_are_shared_and_the_rule_is_read_only(self):
+        # the G10 estimate reuses the K21 rows: every odd-index node is one
+        # of _leggauss(10), bit for bit
+        from asx.oracle import _kronrod, _leggauss
+
+        nodes, weights = _kronrod()
+        assert nodes.shape == weights.shape == (21,)
+        assert np.array_equal(nodes[1::2], _leggauss(10)[0])
+        assert np.array_equal(nodes, -nodes[::-1]) and nodes[10] == 0.0
+        assert _kronrod()[0] is nodes
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
+
+
 class TestAzimuthalPaths:
     def test_radial_j0_path_matches_the_ring_of_the_parsed_twin(self):
         # the builtin takes 2*pi*f*J0 (on axis, 2*pi*f); the parsed twin names
@@ -353,7 +401,7 @@ class TestAzimuthalPaths:
         assert any(size > n for size, n in calls)
         assert any(n > _BLOCK_ELEMENTS for _, n in calls)
         # radial rows, one element each: the evanescent leg at (299.9, 0,
-        # 0.5) starts with 256 panels of 48 rows, taken 85 panels a call
+        # 0.5) starts with 256 panels of 21 rows, taken 195 panels a call
         radial = []
 
         def radial_recording(kx, ky, kz, k0):
@@ -366,9 +414,10 @@ class TestAzimuthalPaths:
         assert max(radial) > _BLOCK_ELEMENTS // 2
 
     def test_panels_are_evaluated_in_batches(self):
-        # weyl at k0r = 50, theta = theta0: a leg's initial panels, each tail
-        # extension and each split pair take one spectrum call (one panel a
-        # call took 52 calls for the same 2,528 evaluations)
+        # weyl at k0r = 50, theta = theta0: a leg's initial panels (13 and
+        # 33), each tail extension (here one, of 4 panels) and each round of
+        # splits take one spectrum call, with 21 rows a panel, beside the
+        # 64 elements of each tail probe (one panel a call took 52 calls)
         from asx import point_from_parameters
 
         calls = []
@@ -380,7 +429,7 @@ class TestAzimuthalPaths:
         probe = SpectrumFunction(label="probe", radial=True, _fn=recording)
         res = oracle_eval(probe, point_from_parameters(1 / math.sqrt(50), 50.0, 1.0), 1.0)
         assert res.converged
-        assert res.evaluations == sum(calls) == 2528
+        assert res.evaluations == sum(calls) == 21 * (13 + 33 + 4) + 2 * 64
         assert len(calls) <= 8
 
     def test_azimuthal_cap_stops_the_radial_refinement(self):
@@ -672,22 +721,26 @@ def leg_integrands(f, p, count):
 
 
 class TestPanelBatches:
-    """_panels over many edges against one call per panel."""
+    """_panels over many panels against one call per panel."""
 
     @staticmethod
-    def batched_and_alone(f, p):
+    def batched_and_alone(f, p, pick=slice(None)):
+        """Per leg: the picked panels in one call, one call per panel, and
+        the largest |value| of all the leg's panels."""
         from asx.oracle import _Counter, _panels
 
         count = _Counter()
         for h, edges in leg_integrands(f, p, count):
-            alone = [_panels(h, edges[i : i + 2]) for i in range(edges.size - 1)]
-            yield _panels(h, edges), [np.concatenate(parts) for parts in zip(*alone)]
+            lo, hi = edges[:-1][pick], edges[1:][pick]
+            alone = [_panels(h, lo[i : i + 1], hi[i : i + 1]) for i in range(lo.size)]
+            scale = np.max(np.abs(_panels(h, edges[:-1], edges[1:])[0]))
+            yield _panels(h, lo, hi), [np.concatenate(parts) for parts in zip(*alone)], scale
         assert count.capped == 0
 
     def test_on_axis_radial_panels_are_bit_identical(self):
         # on axis a radial spectrum takes no Bessel call, so each element is
         # computed alike whatever shares its call
-        for (values, errors), (one_values, one_errors) in self.batched_and_alone(
+        for (values, errors), (one_values, one_errors), _ in self.batched_and_alone(
             weyl(), ObservationPoint(0, 0, 5)
         ):
             assert np.array_equal(values, one_values)
@@ -703,12 +756,92 @@ class TestPanelBatches:
 
         f = weyl() if spectrum == "weyl" else parse_spectrum(spectrum)
         for point in ((20, -7, 2), (3, 4, 5), (-40, 25, 3)):
-            for (values, errors), (one_values, one_errors) in self.batched_and_alone(
+            for (values, errors), (one_values, one_errors), scale in self.batched_and_alone(
                 f, ObservationPoint(*point)
             ):
-                scale = np.max(np.abs(one_values))
                 assert np.max(np.abs(values - one_values)) <= 1e-15 * scale
                 assert np.max(np.abs(errors - one_errors)) <= 1e-15 * scale
+
+    @pytest.mark.parametrize(
+        "spectrum, point",
+        [("weyl", (0, 0, 5)), ("weyl", (20, -7, 2)), (TRANSLATED_WEYL, (-40, 25, 3))],
+        ids=["axis", "off-axis", "ring"],
+    )
+    def test_disjoint_panels_share_a_call(self, spectrum, point):
+        # a round hands _panels the halves of panels from anywhere on a leg:
+        # here every third panel from the right, neither adjacent nor in
+        # order; bit-identical on axis, else to the leg's rounding as above
+        from asx import parse_spectrum
+
+        f = weyl() if spectrum == "weyl" else parse_spectrum(spectrum)
+        for (values, errors), (one_values, one_errors), scale in self.batched_and_alone(
+            f, ObservationPoint(*point), slice(None, None, -3)
+        ):
+            if point[:2] == (0, 0):
+                assert np.array_equal(values, one_values)
+                assert np.array_equal(errors, one_errors)
+            assert np.max(np.abs(values - one_values)) <= 1e-15 * scale
+            assert np.max(np.abs(errors - one_errors)) <= 1e-15 * scale
+
+
+class TestRefinementRounds:
+    """A round splits the worst panels together, one spectrum call a leg."""
+
+    def test_grazing_weyl_converges_in_few_spectrum_calls(self):
+        # the G10 estimate asks for many splits near grazing; one split a
+        # call took 132 calls here, and 16 + 32 rows a panel 28,176
+        # evaluations
+        calls = []
+
+        def recording(kx, ky, kz, k0):
+            calls.append(None)
+            return weyl().evaluate(kx, ky, kz, k0)
+
+        probe = SpectrumFunction(label="probe", radial=True, _fn=recording)
+        p = ObservationPoint(299.9, 0, 0.5)
+        res = oracle_eval(probe, p, 1.0)
+        assert res.converged
+        assert abs(res.value - spherical_wave(p)) <= res.est_error
+        assert len(calls) <= 40
+        assert res.evaluations <= 1.1 * 28_176
+
+    def test_rounds_split_only_panels_near_the_worst(self):
+        # weyl at theta = 0.3, k0r = 300: 16 + 32 rows a panel took 4,736
+        # evaluations.  While the error is far above its target, covering the
+        # excess alone would split nearly every panel; a round that also
+        # took panels below a quarter of the worst took 4x as many here
+        from asx import point_from_parameters
+
+        p = point_from_parameters(0.3, 300.0, 1.0, 0.4)
+        res = oracle_eval(weyl(), p, 1.0)
+        assert res.converged
+        assert abs(res.value - spherical_wave(p)) <= res.est_error
+        assert res.evaluations <= 0.55 * 4736
+
+    def test_grazing_translated_weyl_converges_within_its_estimate(self):
+        from asx import parse_spectrum
+
+        p = ObservationPoint(299.9, 0, 5)
+        res = oracle_eval(parse_spectrum(TRANSLATED_WEYL), p, 1.0)
+        assert res.converged
+        assert abs(res.value - translated_wave(p)) <= res.est_error
+
+    @pytest.mark.parametrize("budget", [17, 24, 40])
+    def test_rounds_never_pass_the_panel_budget(self, budget):
+        # weyl on axis at k0r = 300 cannot meet 1e-8 within these budgets.
+        # Each radial panel pushed costs 21 elements and the one tail probe
+        # 64.  The run starts with max(8, budget/4) propagating panels (k0r/4
+        # is more) and 8 evanescent ones (rho = 0), and each split pushes two
+        # halves in place of one panel, so it ends holding initial + splits
+        res = oracle_eval(
+            weyl(), ObservationPoint(0, 0, 300), 1.0, QuadratureConfig(rel_tol=1e-8, max_panels=budget)
+        )
+        assert res.limit == f"the radial panel budget max_panels={budget}"
+        pushed, rest = divmod(res.evaluations - 64, 21)
+        initial = max(8, budget // 4) + 8
+        splits, odd = divmod(pushed - initial, 2)
+        assert rest == odd == 0
+        assert initial + splits == budget
 
 
 class TestSommerfeldPath:
