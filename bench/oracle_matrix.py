@@ -19,12 +19,15 @@ Then it runs the 72-case honesty grid, exact Weyl at theta in
 
 The asx under OTHER_CHECKOUT/src ("before") and the one beside this
 script ("after") each run in a fresh interpreter, alternating, REPEATS
-times; a case keeps its fastest time.  The summary gives the range of the
+times; a case keeps its median time, with the fastest and slowest beside
+it in ``seconds_range``.  The summary counts the cases whose ``value``,
+``est_error``, ``evaluations`` and ``spectrum_calls`` are bit-identical
+on both sides (``identical_cases``, out of all), and gives the range of the
 relative change in ``evaluations``, the range of ``spectrum_calls`` on
 each side, the largest change of ``value`` in units of the before side's
 ``est_error``, and each side's worst ratio of true error to ``est_error``
-over the matrix cases with an exact form, beside that of the grid.  Needs only the standard library and what asx itself
-imports (numpy).
+over the matrix cases with an exact form, beside that of the grid.  Needs
+only the standard library and what asx itself imports (numpy).
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -43,7 +47,7 @@ import reference  # noqa: E402  (spectra and exact values, apart from asx)
 
 SPECTRA = ("weyl", "gauss", "tweyl")  # keys of reference.SPECTRA
 EXACT = ("weyl", "tweyl")  # spectra with a closed-form true value
-REPEATS = 3
+REPEATS = 5
 THETAS = (1.0, 0.7, 0.3)
 K0RS = (20.0, 100.0, 300.0)
 AZIMUTH = 0.4
@@ -144,14 +148,23 @@ def run_side(src: Path) -> dict:
 
 
 def combine(runs: list[dict]) -> dict:
-    """Fastest time per case over the runs of one side; the other fields
-    are deterministic and taken from the first run."""
+    """Median time per case over the runs of one side, with their range;
+    the other fields are deterministic and taken from the first run."""
     first = runs[0]
     for i, case in enumerate(first["cases"]):
-        case["seconds"] = min(run["cases"][i]["seconds"] for run in runs)
-    first["honesty"]["seconds"] = min(run["honesty"]["seconds"] for run in runs)
+        seconds = [run["cases"][i]["seconds"] for run in runs]
+        case["seconds"] = statistics.median(seconds)
+        case["seconds_range"] = [min(seconds), max(seconds)]
+    first["honesty"]["seconds"] = statistics.median(run["honesty"]["seconds"] for run in runs)
     first["matrix_seconds"] = sum(case["seconds"] for case in first["cases"])
     return first
+
+
+def identical(b: dict, a: dict) -> bool:
+    """Whether a case reads the same on both sides, bit for bit (repr tells
+    -0.0 from 0.0, which == does not)."""
+    fields = ("value", "est_error", "evaluations", "spectrum_calls")
+    return all(repr(b[field]) == repr(a[field]) for field in fields)
 
 
 def matrix_worst_ratio(side: dict) -> float:
@@ -193,10 +206,14 @@ def main(argv: list[str] | None = None) -> int:
         + f"theta {list(THETAS)}; k0r {list(K0RS)}; weyl and tweyl at (x, y, z) {list(GRAZING)}",
         "spectra": {key: reference.SPECTRA[key][0] or reference.SPECTRA[key][1] for key in SPECTRA},
         "host": f"{platform.machine()}, Python {platform.python_version()}",
-        "timing": f"{REPEATS} alternating runs per side, fastest time per case",
+        "timing": f"{REPEATS} alternating runs per side, median time per case",
         "before": before,
         "after": after,
         "summary": {
+            "identical_cases": [
+                sum(identical(b, a) for b, a in zip(before["cases"], after["cases"])),
+                len(after["cases"]),
+            ],
             "matrix_seconds": [before["matrix_seconds"], after["matrix_seconds"]],
             "honesty_worst_ratio": [
                 before["honesty"]["worst_ratio"],

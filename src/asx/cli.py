@@ -9,6 +9,7 @@ diagnostics go to stderr.  Exit codes: 0 success, 2 usage/configuration,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -176,7 +177,10 @@ def _cmd_parse_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The asx parser, built once: parse_args reads it and leaves it as it
+    was, so every main call shares it."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--k0", type=float, default=1.0, help="wavenumber (default 1.0)")
     shared.add_argument("--spectrum", help="builtin spectrum: weyl, constant, gaussian(w)")
@@ -223,8 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, SpectrumParseError) as exc:

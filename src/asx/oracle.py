@@ -32,7 +32,9 @@ design optimizes for controlled error rather than speed:
   nodes, so the branch circle is never evaluated), split in rounds until
   their summed |K21 - G10| and the tail bound meet rel_tol * |value|; a
   leg's initial panels, a tail extension and a leg's halves of a round are
-  evaluated 195 panels a call, and a ring stopped at its cap ends the run.
+  evaluated 195 panels a call;
+* a ring that reaches _MAX_PHI_NODES unpassed ends the run, unconverged
+  and with est_error = inf: no bound holds for a row it cannot resolve.
 
 Cost grows with k0*r (and, for a parsed spectrum, with the bandwidth of f),
 so the oracle refuses k0*r above ORACLE_K0R_ENVELOPE.  Identical inputs
@@ -65,7 +67,7 @@ ORACLE_K0R_ENVELOPE = 300.0  # desk-scale limit on k0*r
 # too, so the wall still bounds its rings; it holds for every spectrum, so one
 # rule decides which points the oracle refuses.
 _MAX_PHI_BANDWIDTH = float(1 << 18)
-_MAX_PHI_NODES = 1 << 15  # ring doubling stops here, flagged unless passed
+_MAX_PHI_NODES = 1 << 15  # a ring not passed at this size ends the run
 # Complex elements per spectrum call: 64 KB arrays, one ring at least
 _BLOCK_ELEMENTS = 1 << 12
 _PANEL_BATCH = _BLOCK_ELEMENTS // 21  # 195 panels of 21 radial rows a call
@@ -113,9 +115,9 @@ class OracleResult:
 
     ``limit`` names what stopped the run short of ``rel_tol`` (empty when
     it converged).  ``est_error`` sums the panels' |K21 - G10| and the tail
-    bound; it leaves out the residual of an azimuthal ring stopped at its
-    cap.  A cap ends the sampling: the value and ``est_error`` of a capped
-    run cover the rows sampled before it, and the rest of its round adds 0.
+    bound.  A ring of f stopped at its azimuthal cap ends the run with
+    ``est_error`` inf and ``limit`` naming the cap and the ring's k_rho; the
+    value and its parts are the panels' last sums, 0 if the cap came first.
     """
 
     value: complex
@@ -297,15 +299,16 @@ def _bessel_orders(x: np.ndarray, top: int) -> np.ndarray:
     return out
 
 
+@dataclass(slots=True)
 class _Counter:
-    """Spectrum evaluations, and radial nodes whose ring of f stopped at
-    its cap without passing the doubling test."""
+    """Spectrum evaluations."""
 
-    __slots__ = ("n", "capped")
+    n: int = 0
 
-    def __init__(self):
-        self.n = 0
-        self.capped = 0
+
+class _RingCapped(Exception):
+    """A ring of f reached _MAX_PHI_NODES without passing its doubling test:
+    the Fourier tail of f on it is unknown, so no error bound holds."""
 
 
 @functools.cache
@@ -339,7 +342,7 @@ def _ring_coefficients(f, krho, kz, k0: float, rel_tol: float, count: _Counter):
     Each ring starts at _RING_START nodes and doubles onto its own nodes,
     at least once, until the tail of its spectrum is within the row's
     floor, rel_tol/30 of the rms of f on the ring; a row still failing at
-    _MAX_PHI_NODES is counted in ``count.capped``.  A tail is measured as
+    _MAX_PHI_NODES raises _RingCapped.  A tail is measured as
     sqrt(sum |c_m|^2): as sum J_m^2 = 1, that bounds what the orders in it
     add to the Bessel sum, and the rounding of f adds to it no more than it
     does to one sample.  The test takes the upper half of the band; each
@@ -378,9 +381,9 @@ def _ring_coefficients(f, krho, kz, k0: float, rel_tol: float, count: _Counter):
         power = c.real * c.real + c.imag * c.imag
         ring_floor = floor * power.sum(axis=1)
         passed = power[:, n // 2 : 3 * n // 2 + 1].sum(axis=1) <= ring_floor
-        if 2 * n >= _MAX_PHI_NODES:
-            count.capped += int(np.count_nonzero(~passed))
-            passed[:] = True
+        if 2 * n >= _MAX_PHI_NODES and not passed.all():
+            at = float(krho[rows[~passed][0]])
+            raise _RingCapped(f"the {_MAX_PHI_NODES}-node azimuthal cap at k_rho = {at:.9g}")
         if passed.any():
             done = power[passed]
             # the tails from order n - 1 down to 1: sum of |c_k|^2 + |c_-k|^2
@@ -453,12 +456,21 @@ def _phi_integrals(
     x = krho * p.rho_xy
     if f.radial:
         return _bessel_sum(_ring_values(f, krho, kz, k0, 1, 0.0, count), x, p)
-    out = np.zeros(krho.size, dtype=complex)  # rows past a cap add 0
+    out = np.empty(krho.size, dtype=complex)
     for rows, c in _ring_coefficients(f, krho, kz, k0, rel_tol, count):
         out[rows] = _bessel_sum(c, x[rows], p)
-        if count.capped:  # the value cannot converge: stop paying for it
-            break
     return out
+
+
+def _leg_integrand(f, p, k0: float, rel_tol: float, count: _Counter, leg: int, t):
+    """A leg's radial integrand at its variable t: kz*exp(i*kz*z)*Phi on the
+    propagating leg (t = kz), s*exp(-s*z)*Phi on the evanescent one (t = s,
+    kz = i*s), with Phi the azimuthal integral on the circle (_phi_integrals)."""
+    if leg == _PROP:
+        krho = np.sqrt(np.maximum(k0 * k0 - t * t, 0.0))
+        return t * np.exp(1j * t * p.z) * _phi_integrals(f, krho, t, p, k0, rel_tol, count)
+    krho = np.sqrt(k0 * k0 + t * t)
+    return t * np.exp(-t * p.z) * _phi_integrals(f, krho, 1j * t, p, k0, rel_tol, count)
 
 
 def _panels(h, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -531,9 +543,9 @@ def oracle_eval(
     their exact sum), an error estimate, and the evaluation count.  If a
     limit stops the run before ``est_error <= rel_tol * |value|`` (the
     panel budget, the k_max cap, the rounding floor of the panel errors,
-    or the azimuthal node cap) the best value is returned with
-    ``converged=False`` and ``limit`` naming it.  A persistently growing
-    error estimate under refinement raises
+    or the azimuthal node cap, which sets ``est_error`` inf) the last value
+    is returned with ``converged=False`` and ``limit`` naming it.  A
+    persistently growing error estimate under refinement raises
     :class:`~asx.errors.DivergenceError`.  ``k0*r`` above
     ``ORACLE_K0R_ENVELOPE`` is a :class:`~asx.errors.ConfigError`.
     """
@@ -550,88 +562,74 @@ def oracle_eval(
     s_max, s_cap = _evanescent_cutoff(p, k0, cfg)
     _check_bandwidth(p, k0, s_max)
     count = _Counter()
-
-    def h_prop(kz: np.ndarray) -> np.ndarray:
-        krho = np.sqrt(np.maximum(k0 * k0 - kz * kz, 0.0))
-        return kz * np.exp(1j * kz * p.z) * _phi_integrals(f, krho, kz, p, k0, cfg.rel_tol, count)
-
-    def h_evan(s: np.ndarray) -> np.ndarray:
-        krho = np.sqrt(k0 * k0 + s * s)
-        return s * np.exp(-s * p.z) * _phi_integrals(f, krho, 1j * s, p, k0, cfg.rel_tol, count)
-
     # worst-first; on equal errors the propagating leg, then the left edge
     heap: list[tuple[float, int, float, float, complex]] = []
 
     def push(leg: int, lo: np.ndarray, hi: np.ndarray):  # panels [lo[i], hi[i]] of a leg
+        h = functools.partial(_leg_integrand, f, p, k0, cfg.rel_tol, count, leg)
         for start in range(0, lo.size, _PANEL_BATCH):
-            if count.capped:
-                break
             a, b = lo[start : start + _PANEL_BATCH], hi[start : start + _PANEL_BATCH]
-            fine, errors = _panels((h_prop, h_evan)[leg], a, b)
+            fine, errors = _panels(h, a, b)
             entries = zip((-errors).tolist(), [leg] * a.size, a.tolist(), b.tolist(), fine.tolist())
             for entry in entries:
                 heapq.heappush(heap, entry)
 
-    # initial panel density scales linearly with the total phase
-    for leg, top, phase in ((_PROP, k0, k0r), (_EVAN, s_max, p.rho_xy * s_max)):
-        edges = np.linspace(0.0, top, max(8, min(math.ceil(phase / 4.0), cfg.max_panels // 4)) + 1)
-        push(leg, edges[:-1], edges[1:])
-    tail = _tail_bound(f, p, k0, s_max, count)
-
-    best_err, limit = math.inf, ""
-    while True:
-        # per leg, panels left to right: the sums depend on the panel set only
-        values, errors = [0.0 + 0.0j, 0.0 + 0.0j], [0.0, 0.0]
-        for neg_err, leg, _, _, value in sorted(heap, key=lambda e: e[1:3]):
-            values[leg] += value
-            errors[leg] -= neg_err
-        total = values[_PROP] + values[_EVAN]
-        err = errors[_PROP] + errors[_EVAN] + tail
-        best_err = min(best_err, err)
-        # a ring stopped at its cap leaves the value unconverged
-        # whatever the radial panels do, so refining them is wasted
-        if count.capped:
-            break
-        if err <= cfg.rel_tol * abs(total) or err < 1e-300:
-            break
-        if len(heap) >= cfg.max_panels:
-            limit = f"the radial panel budget max_panels={cfg.max_panels}"
-            break
-        if err > 100.0 * best_err and err > 10.0 * cfg.rel_tol * abs(total):
-            raise DivergenceError(
-                "error estimate grew 100x beyond its minimum under refinement; "
-                "the spectrum does not appear to be integrable"
-            )
-        # When the truncation bound dominates, pushing s_max out is the only
-        # move that helps; each extension drops the bound a hundredfold.
-        if tail >= 0.5 * err:
-            edges = np.linspace(s_max, s_max + math.log(100.0) / p.z, 5)
-            if edges[-1] > s_cap:
-                limit = f"the evanescent cap k_max={cfg.k_max:g}"
+    values, total, best_err, limit = [0j, 0j], 0j, math.inf, ""
+    try:
+        # initial panel density scales linearly with the total phase
+        for leg, top, phase in ((_PROP, k0, k0r), (_EVAN, s_max, p.rho_xy * s_max)):
+            n = max(8, min(math.ceil(phase / 4.0), cfg.max_panels // 4))
+            edges = np.linspace(0.0, top, n + 1)
+            push(leg, edges[:-1], edges[1:])
+        tail = _tail_bound(f, p, k0, s_max, count)
+        while True:
+            # per leg, panels left to right: the sums depend on the panel set only
+            values, errors = [0.0 + 0.0j, 0.0 + 0.0j], [0.0, 0.0]
+            for neg_err, leg, _, _, value in sorted(heap, key=lambda e: e[1:3]):
+                values[leg] += value
+                errors[leg] -= neg_err
+            total = values[_PROP] + values[_EVAN]
+            err = errors[_PROP] + errors[_EVAN] + tail
+            best_err = min(best_err, err)
+            if err <= cfg.rel_tol * abs(total) or err < 1e-300:
                 break
-            _check_bandwidth(p, k0, edges[-1])
-            push(_EVAN, edges[:-1], edges[1:])
-            s_max = float(edges[-1])
-            tail = _tail_bound(f, p, k0, s_max, count)
-            continue
-        if -heap[0][0] <= 1e-16 * abs(total):
-            limit = "the rounding floor of the radial panel errors"
-            break
-        # a round splits the worst panel and the next within a quarter of it
-        # until they cover the excess, fill a call of halves or the budget
-        worst, excess = -heap[0][0], err - cfg.rel_tol * abs(total)
-        room, split, covered = min(_PANEL_BATCH // 2, cfg.max_panels - len(heap)), [], 0.0
-        while heap and len(split) < room and covered < excess and -heap[0][0] >= 0.25 * worst:
-            split.append(heapq.heappop(heap))
-            covered -= split[-1][0]
-        for leg in (_PROP, _EVAN):
-            lo, hi = np.array([entry[2:4] for entry in split if entry[1] == leg]).reshape(-1, 2).T
-            mid = 0.5 * (lo + hi)
-            push(leg, np.concatenate((lo, mid)), np.concatenate((mid, hi)))
+            if len(heap) >= cfg.max_panels:
+                limit = f"the radial panel budget max_panels={cfg.max_panels}"
+                break
+            if err > 100.0 * best_err and err > 10.0 * cfg.rel_tol * abs(total):
+                raise DivergenceError(
+                    "error estimate grew 100x beyond its minimum under refinement; "
+                    "the spectrum does not appear to be integrable"
+                )
+            # When the truncation bound dominates, pushing s_max out is the only
+            # move that helps; each extension drops the bound a hundredfold.
+            if tail >= 0.5 * err:
+                edges = np.linspace(s_max, s_max + math.log(100.0) / p.z, 5)
+                if edges[-1] > s_cap:
+                    limit = f"the evanescent cap k_max={cfg.k_max:g}"
+                    break
+                _check_bandwidth(p, k0, edges[-1])
+                push(_EVAN, edges[:-1], edges[1:])
+                s_max = float(edges[-1])
+                tail = _tail_bound(f, p, k0, s_max, count)
+                continue
+            if -heap[0][0] <= 1e-16 * abs(total):
+                limit = "the rounding floor of the radial panel errors"
+                break
+            # a round splits the worst panel and the next within a quarter of it
+            # until they cover the excess, fill a call of halves or the budget
+            worst, excess = -heap[0][0], err - cfg.rel_tol * abs(total)
+            room, split, covered = min(_PANEL_BATCH // 2, cfg.max_panels - len(heap)), [], 0.0
+            while heap and len(split) < room and covered < excess and -heap[0][0] >= 0.25 * worst:
+                split.append(heapq.heappop(heap))
+                covered -= split[-1][0]
+            for leg in (_PROP, _EVAN):
+                lo, hi = np.array([e[2:4] for e in split if e[1] == leg]).reshape(-1, 2).T
+                mid = 0.5 * (lo + hi)
+                push(leg, np.concatenate((lo, mid)), np.concatenate((mid, hi)))
+    except _RingCapped as cap:
+        err, limit = math.inf, str(cap)
 
-    if count.capped:
-        phi_limit = f"the {_MAX_PHI_NODES}-node azimuthal cap at {count.capped} radial nodes"
-        limit = f"{limit} and {phi_limit}" if limit else phi_limit
     return OracleResult(
         value=total,
         est_error=err,

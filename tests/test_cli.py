@@ -222,14 +222,27 @@ class TestOracle:
         assert json.loads(out)["converged"] is False
         assert "the 64-node azimuthal cap at " in err
 
-    def test_default_azimuthal_cap_exits_4(self, capsys):
+    @staticmethod
+    def check_default_cap(capsys, point):
         # sqrt(kx) has a branch point on every ring; the run stops at the
-        # first capped ring and prints what it sampled before it
-        argv = "oracle --spectrum-expr sqrt(kx) --point 0,0,5"
+        # first capped ring, among the initial panels, so it prints 0 with
+        # no bound on its error, and names the ring
+        argv = f"oracle --spectrum-expr sqrt(kx) --point {point}"
         code, out, err = run_main(capsys, argv.split())
         assert code == 4
-        assert json.loads(out)["converged"] is False
-        assert "the 32768-node azimuthal cap at 1 radial nodes" in err
+        assert '"est_error": Infinity' in out
+        payload = json.loads(out)
+        assert payload["converged"] is False
+        assert payload["est_error"] == math.inf
+        assert payload["value_re"] == payload["value_im"] == 0
+        assert payload["evaluations"] <= 57_408
+        assert err.startswith("oracle: stopped by the 32768-node azimuthal cap at k_rho = 0.99")
+
+    def test_default_azimuthal_cap_exits_4(self, capsys):
+        self.check_default_cap(capsys, "0,0,5")
+
+    def test_default_azimuthal_cap_exits_4_off_axis(self, capsys):
+        self.check_default_cap(capsys, "0.3,0.4,5")
 
     def test_kmax_cap_exits_4_and_names_the_cap(self, capsys):
         argv = "oracle --spectrum weyl --point 0,0,1 --kmax 2"
@@ -409,6 +422,18 @@ class TestOutputFile:
 
 
 class TestDeterminism:
+    def test_the_shared_parser_keeps_no_arguments_between_calls(self, capsys):
+        # main builds its parser once; a flag given to one call must not
+        # reach the next
+        from asx.cli import build_parser
+
+        assert build_parser() is build_parser()
+        argv = "oracle --spectrum weyl --point 0,0,1 --kmax 2"
+        assert run_main(capsys, argv.split())[0] == 4
+        code, out, err = run_main(capsys, argv.split()[:-2])
+        assert code == 0 and err == ""
+        assert json.loads(out)["converged"] is True
+
     def test_compare_is_byte_identical_across_thread_caps(self, tmp_path):
         # separate processes: the bytes depend neither on the process nor
         # on a leftover ASX_THREADS setting in its environment

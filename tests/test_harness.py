@@ -139,6 +139,20 @@ class TestRunSweep:
         assert rec.failed
         assert rec.note == "oracle stopped by the radial panel budget max_panels=16"
 
+    def test_capped_cells_are_each_flagged(self):
+        # one bad cell, one flag: sqrt(kx) caps a ring at every cell, and
+        # each record says so, with the oracle's value 0 and no bound
+        from asx import parse_spectrum
+
+        cfg = SweepConfig(parse_spectrum("sqrt(kx)"), 1.0, (0.5, 0.9), (20.0, 40.0))
+        records = run_sweep(cfg)
+        assert len(records) == 4
+        for rec in records:
+            assert rec.failed
+            assert rec.note.startswith("oracle stopped by the 32768-node azimuthal cap at k_rho = ")
+            assert rec.oracle == 0 and rec.rel_error == math.inf
+            assert math.isfinite(abs(rec.asym))
+
     def test_programming_errors_propagate(self):
         # only package errors become flagged records; a bug must surface
         def fn(kx, ky, kz, k0):

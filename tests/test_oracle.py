@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -299,25 +300,24 @@ class TestAzimuthalPaths:
             assert abs(built.value - parsed.value) <= built.est_error, theta
             assert built.evaluations < parsed.evaluations, theta
 
-    def test_cap_without_a_passed_test_is_counted(self):
+    def test_cap_without_a_passed_test_raises(self):
         # sqrt(kx) has a branch point on the ring, so its Fourier tail
         # decays only algebraically and the ring reaches the cap unpassed
         from asx import parse_spectrum
-        from asx.oracle import _MAX_PHI_NODES, _Counter, _phi_integrals
+        from asx.oracle import _MAX_PHI_NODES, _Counter, _phi_integrals, _RingCapped
 
         count = _Counter()
         p = ObservationPoint(0, 0, 5)
         f = parse_spectrum("sqrt(kx)")
         row = np.array([0.7])
-        _phi_integrals(f, row, row, p, 1.0, 1e-7, count)
-        assert count.capped == 1
+        with pytest.raises(_RingCapped, match=f"the {_MAX_PHI_NODES}-node azimuthal cap"):
+            _phi_integrals(f, row, row, p, 1.0, 1e-7, count)
         assert count.n == _MAX_PHI_NODES
-        # the cap ends the call: of 300 rows, those not reached add 0
-        count = _Counter()
+        # of 300 rows, the first to reach the cap is named: the first row of
+        # the call, its group doubling depth first
         kz = np.linspace(0.05, 0.95, 300)
-        values = _phi_integrals(f, np.sqrt(1 - kz * kz), kz, p, 1.0, 1e-7, count)
-        assert count.capped == 1
-        assert np.count_nonzero(values) == 1
+        with pytest.raises(_RingCapped, match=f"at k_rho = {math.sqrt(1 - 0.05**2):.9g}$"):
+            _phi_integrals(f, np.sqrt(1 - kz * kz), kz, p, 1.0, 1e-7, _Counter())
 
     def test_first_pass_beyond_the_cap_is_still_tested(self, monkeypatch):
         # with the cap below the first tested ring (32 nodes doubled once),
@@ -335,7 +335,6 @@ class TestAzimuthalPaths:
             unit_probe(), np.array([1.0]), np.array([0.0]), p, 1.0, 1e-7, count
         )
         assert count.n == 2 * _RING_START
-        assert count.capped == 0
         assert abs(value - 2 * math.pi * j0(40000.0)) < 1e-12
 
     def test_rows_of_different_bandwidths_converge_row_by_row(self):
@@ -354,7 +353,6 @@ class TestAzimuthalPaths:
         p = ObservationPoint(18, 24, 2)
         krho = np.geomspace(0.05, 20.0, 40)
         values = _phi_integrals(f, krho, np.zeros(krho.size), p, 1.0, 1e-7, count)
-        assert count.capped == 0
         cut = 2 * math.pi * _CUT_SHARE * 1e-7 / 30
         assert np.max(np.abs(values - 2 * math.pi * j0(krho * math.sqrt(873.0)))) <= cut
         # each row stops and is cut where it would be alone; the group's J_m
@@ -433,22 +431,39 @@ class TestAzimuthalPaths:
         assert len(calls) <= 8
 
     def test_azimuthal_cap_stops_the_radial_refinement(self):
-        # once a ring is capped the value cannot converge, so nothing more is
-        # sampled: the first group of rows doubles its rings depth first, in
-        # one call of _BLOCK_ELEMENTS per ring size below the block and one
-        # ring per size from the block up to the cap; then the 8 x 8 tail
-        # probe
+        # once a ring is capped nothing more is sampled: the first group of
+        # rows doubles its rings depth first, in one call of _BLOCK_ELEMENTS
+        # per ring size below the block and one ring per size from the block
+        # up to the cap, among the initial panels, so no tail probe follows
+        # and the value is 0 with no bound on its error
         from asx import parse_spectrum
         from asx.oracle import _BLOCK_ELEMENTS, _MAX_PHI_NODES, _RING_START
 
         res = oracle_eval(parse_spectrum("sqrt(kx)"), ObservationPoint(0, 0, 5), 1.0)
         assert not res.converged
-        assert "azimuthal cap at 1 radial nodes" in res.limit
+        assert res.limit.startswith(f"the {_MAX_PHI_NODES}-node azimuthal cap at k_rho = ")
+        assert res.est_error == math.inf
+        assert res.value == res.propagating_part == res.evanescent_part == 0
         below = int(math.log2(_BLOCK_ELEMENTS // _RING_START)) * _BLOCK_ELEMENTS
-        assert res.evaluations <= below + _MAX_PHI_NODES - _BLOCK_ELEMENTS + 64
+        assert res.evaluations == below + _MAX_PHI_NODES - _BLOCK_ELEMENTS
 
-    # off axis, rho_xy = 0.5 keeps the Bessel sums of the capped rings (16k
-    # orders) in the power series
+    def test_late_cap_keeps_the_last_sums(self, monkeypatch):
+        # at rel_tol 1e-10 the rings of the translated Weyl grow with k_rho,
+        # and a 512-node cap is first reached in a tail extension, after
+        # the initial panels were summed: the run keeps the last sums (here
+        # within 1e-6 of exact) and says that no bound holds
+        from asx import oracle, parse_spectrum
+
+        monkeypatch.setattr(oracle, "_MAX_PHI_NODES", 512)
+        p = ObservationPoint(10, 0, 0.5)
+        res = oracle_eval(parse_spectrum(TRANSLATED_WEYL), p, 1.0, QuadratureConfig(rel_tol=1e-10))
+        assert not res.converged
+        assert res.limit.startswith("the 512-node azimuthal cap at k_rho = ")
+        assert res.est_error == math.inf
+        assert res.value != 0
+        assert res.value == res.propagating_part + res.evanescent_part
+        assert abs(res.value - translated_wave(p)) <= 1e-6 * abs(translated_wave(p))
+
     @pytest.mark.parametrize("point", [(0, 0, 5), (0.3, 0.4, 5)], ids=["axis", "off-axis"])
     @pytest.mark.parametrize(
         "spectrum",
@@ -628,7 +643,6 @@ class TestJacobiAngerPath:
         rows = _phi_integrals(parse_spectrum(TRANSLATED_WEYL), krho, kz, p, 1.0, 1e-10, count)
         reference = brute_force_rows(krho, kz, p)
         scale = 1.0 / np.abs(kz)  # 2*pi*|f|
-        assert count.capped == 0
         assert np.max(np.abs(rows - reference) / scale) <= 1e-12
 
     @pytest.mark.parametrize("point", [(3, 4, 5), (20, -7, 2), (-40, 25, 3)])
@@ -707,16 +721,11 @@ class TestJacobiAngerPath:
 def leg_integrands(f, p, count):
     """oracle_eval's two leg integrands at k0 = 1, in kz and in s, each with
     edges of panels on it."""
-    from asx.oracle import _phi_integrals
+    from asx.oracle import _EVAN, _PROP, _leg_integrand
 
-    def prop(kz):
-        krho = np.sqrt(np.maximum(1.0 - kz * kz, 0.0))
-        return kz * np.exp(1j * kz * p.z) * _phi_integrals(f, krho, kz, p, 1.0, 1e-7, count)
-
-    def evan(s):
-        krho = np.sqrt(1.0 + s * s)
-        return s * np.exp(-s * p.z) * _phi_integrals(f, krho, 1j * s, p, 1.0, 1e-7, count)
-
+    prop, evan = (
+        functools.partial(_leg_integrand, f, p, 1.0, 1e-7, count, leg) for leg in (_PROP, _EVAN)
+    )
     return (prop, np.linspace(0.0, 1.0, 41)), (evan, np.linspace(0.0, 12.0, 61))
 
 
@@ -735,7 +744,6 @@ class TestPanelBatches:
             alone = [_panels(h, lo[i : i + 1], hi[i : i + 1]) for i in range(lo.size)]
             scale = np.max(np.abs(_panels(h, edges[:-1], edges[1:])[0]))
             yield _panels(h, lo, hi), [np.concatenate(parts) for parts in zip(*alone)], scale
-        assert count.capped == 0
 
     def test_on_axis_radial_panels_are_bit_identical(self):
         # on axis a radial spectrum takes no Bessel call, so each element is
