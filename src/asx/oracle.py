@@ -20,7 +20,9 @@ design optimizes for controlled error rather than speed:
   axis 2*pi*f, with no Bessel call);
 * any other (parsed) spectrum is sampled on a ring of nodes per radial
   node, doubled onto itself until the Fourier tail of f is below the
-  row's floor; the c_m come from an FFT along the ring;
+  row's floor; the c_m come from an FFT along the ring, a doubling joined
+  to it by one butterfly whose twiddles are the sampler's cached circle of
+  twice the ring's size;
 * every sample of f (radial rows, rings and the tail probe) is taken and
   counted by one circle sampler, _ring_values, in one spectrum call of at
   most _BLOCK_ELEMENTS elements (one ring if wider, 195 panels if radial);
@@ -324,82 +326,13 @@ def _circle(n: int, shift: float) -> np.ndarray:
 def _ring_values(f, krho, kz, k0: float, n: int, shift: float, count: _Counter):
     """f at the n azimuths 2*pi*(j + shift)/n on each circle krho[r] (at kz[r]),
     one row per circle: the oracle's one spectrum call, counted here (n = 1
-    gives the radial rows, with ky = +0.0).  _ring_coefficients keeps a
-    call of rings within _BLOCK_ELEMENTS elements (one ring at least), and
+    gives the radial rows, with ky = +0.0).  _phi_integrals keeps a call
+    of rings within _BLOCK_ELEMENTS elements (one ring at least), and
     oracle_eval's batches of at most 195 panels keep a radial call there."""
     kx, ky = krho[:, None] * _circle(n, shift)
     count.n += kx.size
     # a copy costs less than np.broadcast_to at these sizes
     return f.evaluate(kx, ky, kz[:, None].repeat(n, axis=1), k0)
-
-
-def _ring_coefficients(f, krho, kz, k0: float, rel_tol: float, count: _Counter):
-    """Fourier coefficients c_m of f on each circle krho[r] (at kz[r]),
-    yielded as (rows, c) for groups of rows that stop at the same ring size;
-    c[:, m] holds order m for |m| <= top, the negative orders counted from
-    the end.
-
-    Each ring starts at _RING_START nodes and doubles onto its own nodes,
-    at least once, until the tail of its spectrum is within the row's
-    floor, rel_tol/30 of the rms of f on the ring; a row still failing at
-    _MAX_PHI_NODES raises _RingCapped.  A tail is measured as
-    sqrt(sum |c_m|^2): as sum J_m^2 = 1, that bounds what the orders in it
-    add to the Bessel sum, and the rounding of f adds to it no more than it
-    does to one sample.  The test takes the upper half of the band; each
-    row's coefficients, from an FFT along the ring, are cut above the highest
-    order whose tail from there up still exceeds _CUT_SHARE of its floor, so
-    a row's sum does not depend on the rows that share its group.
-    Each spectrum call takes at most _BLOCK_ELEMENTS // size rows (one row
-    at least) of size fresh nodes each.
-    """
-    from numpy.fft import fft  # here: importing asx must not load numpy.fft
-
-    # noise floor for the radial error estimator sitting on top of this
-    floor = (rel_tol / 30.0) ** 2
-    twiddles = {}  # ring size -> exp(-i*pi*m/size)/size, m = 0..size-1
-    # rows and the coefficients of their ring so far, none before the first
-    # call (2*_RING_START nodes: the first ring and its first doubling)
-    work = [(np.arange(krho.size), np.empty((krho.size, 0), dtype=complex))]
-    while work:
-        rows, c = work.pop()
-        size = c.shape[1] or 2 * _RING_START  # the nodes this call adds
-        step = max(1, _BLOCK_ELEMENTS // size)
-        if rows.size > step:  # the other rows wait for their own call
-            work.append((rows[step:], c[step:]))
-            rows, c = rows[:step], c[:step]
-        shift = 0.5 if c.shape[1] else 0.0  # a doubling's nodes sit halfway
-        fresh = fft(_ring_values(f, krho[rows], kz[rows], k0, size, shift, count), axis=1)
-        if not c.shape[1]:
-            c = fresh / size
-        else:
-            # one butterfly joins the transform of the new nodes to the ring's
-            if size not in twiddles:
-                twiddles[size] = np.exp(-1j * math.pi * np.arange(size) / size) / size
-            fresh *= twiddles[size]
-            c = 0.5 * np.concatenate((c + fresh, c - fresh), axis=1)
-        n = c.shape[1] // 2  # the band: orders -n..n, order -m at column 2n - m
-        power = c.real * c.real + c.imag * c.imag
-        ring_floor = floor * power.sum(axis=1)
-        passed = power[:, n // 2 : 3 * n // 2 + 1].sum(axis=1) <= ring_floor
-        if 2 * n >= _MAX_PHI_NODES and not passed.all():
-            at = float(krho[rows[~passed][0]])
-            raise _RingCapped(f"the {_MAX_PHI_NODES}-node azimuthal cap at k_rho = {at:.9g}")
-        if passed.any():
-            done = power[passed]
-            # the tails from order n - 1 down to 1: sum of |c_k|^2 + |c_-k|^2
-            # over m <= k <= n
-            tail = np.cumsum(done[:, n - 1 : 0 : -1] + done[:, n + 1 :], axis=1)
-            tail += done[:, n, None]
-            above = tail > _CUT_SHARE**2 * ring_floor[passed, None]
-            tops = np.count_nonzero(above, axis=1)
-            top = int(tops.max())
-            orders = np.concatenate((c[passed, : top + 1], c[passed, 2 * n - top :]), axis=1)
-            cut = np.arange(1, top + 1) > tops[:, None]
-            orders[:, 1 : top + 1][cut] = 0.0
-            orders[:, top + 1 :][cut[:, ::-1]] = 0.0
-            yield rows[passed], orders
-        if not passed.all():
-            work.append((rows[~passed], c[~passed]))
 
 
 def _order_cap(x_max: float, top: int) -> int:
@@ -416,8 +349,9 @@ def _order_cap(x_max: float, top: int) -> int:
 def _bessel_sum(c: np.ndarray, x: np.ndarray, p: ObservationPoint) -> np.ndarray:
     """2*pi*sum_m c_m*i^m*J_m(x)*exp(i*m*phi0) per row, phi0 = atan2(y, x):
     the azimuthal integral of f*exp(i*(kx*x + ky*y)) by the Jacobi-Anger
-    expansion, with c laid out as _ring_coefficients yields it, summed up to
-    _order_cap of the largest x.  On axis only c_0 counts."""
+    expansion, with c[:, m] holding order m for |m| <= c.shape[1] // 2 and
+    the negative orders counted from the end, summed up to _order_cap of the
+    largest x.  On axis only c_0 counts."""
     value = 2.0 * math.pi * c[:, 0]
     if p.rho_xy == 0.0:
         return value
@@ -450,15 +384,76 @@ def _phi_integrals(
     J_m(k_rho*rho_xy)*exp(i*m*phi0) with c_m the Fourier coefficients of f
     alone on the circle, so its cost follows the bandwidth of f, not that of
     the phase.  A radial spectrum has c_0 = f(k_rho) only (the Sommerfeld
-    identity, one spectrum element per row); any other takes its
-    coefficients from a ring of f (_ring_coefficients).
+    identity, one spectrum element per row).
+
+    Any other takes its c_m from a ring of f on each circle.  Each ring
+    starts at _RING_START nodes and doubles onto its own nodes, at least
+    once, until the tail of its spectrum is within the row's floor,
+    rel_tol/30 of the rms of f on the ring; a row still failing at
+    _MAX_PHI_NODES raises _RingCapped.  A tail is measured as
+    sqrt(sum |c_m|^2): as sum J_m^2 = 1, that bounds what the orders in it
+    add to the Bessel sum, and the rounding of f adds to it no more than it
+    does to one sample.  The test takes the upper half of the band; each
+    row's coefficients, from an FFT along the ring, are cut above the highest
+    order whose tail from there up still exceeds _CUT_SHARE of its floor, so
+    a row's sum does not depend on the rows that share its group.  Rows that
+    stop at the same ring size take one Bessel sum; each spectrum call takes
+    at most _BLOCK_ELEMENTS // size rows (one row at least) of size fresh
+    nodes each.
     """
     x = krho * p.rho_xy
     if f.radial:
         return _bessel_sum(_ring_values(f, krho, kz, k0, 1, 0.0, count), x, p)
+    from numpy.fft import fft  # here: importing asx must not load numpy.fft
+
     out = np.empty(krho.size, dtype=complex)
-    for rows, c in _ring_coefficients(f, krho, kz, k0, rel_tol, count):
-        out[rows] = _bessel_sum(c, x[rows], p)
+    # noise floor for the radial error estimator sitting on top of this
+    floor = (rel_tol / 30.0) ** 2
+    # rows and the coefficients of their ring so far, none before the first
+    # call (2*_RING_START nodes: the first ring and its first doubling);
+    # c[:, m] holds order m for |m| <= n, the negative orders counted from
+    # the end
+    work = [(np.arange(krho.size), np.empty((krho.size, 0), dtype=complex))]
+    while work:
+        rows, c = work.pop()
+        size = c.shape[1] or 2 * _RING_START  # the nodes this call adds
+        step = max(1, _BLOCK_ELEMENTS // size)
+        if rows.size > step:  # the other rows wait for their own call
+            work.append((rows[step:], c[step:]))
+            rows, c = rows[:step], c[:step]
+        shift = 0.5 if c.shape[1] else 0.0  # a doubling's nodes sit halfway
+        fresh = fft(_ring_values(f, krho[rows], kz[rows], k0, size, shift, count), axis=1)
+        if not c.shape[1]:
+            c = fresh / size
+        else:
+            # one butterfly joins the transform of the new nodes to the ring's,
+            # with twiddles exp(-i*pi*m/size)/size from the circle of 2*size
+            cos, sin = _circle(2 * size, 0.0)[:, 0, :size]
+            fresh *= (cos - 1j * sin) / size
+            c = 0.5 * np.concatenate((c + fresh, c - fresh), axis=1)
+        n = c.shape[1] // 2  # the band: orders -n..n, order -m at column 2n - m
+        power = c.real * c.real + c.imag * c.imag
+        ring_floor = floor * power.sum(axis=1)
+        passed = power[:, n // 2 : 3 * n // 2 + 1].sum(axis=1) <= ring_floor
+        if 2 * n >= _MAX_PHI_NODES and not passed.all():
+            at = float(krho[rows[~passed][0]])
+            raise _RingCapped(f"the {_MAX_PHI_NODES}-node azimuthal cap at k_rho = {at:.9g}")
+        if passed.any():
+            done = power[passed]
+            # the tails from order n - 1 down to 1: sum of |c_k|^2 + |c_-k|^2
+            # over m <= k <= n
+            tail = np.cumsum(done[:, n - 1 : 0 : -1] + done[:, n + 1 :], axis=1)
+            tail += done[:, n, None]
+            above = tail > _CUT_SHARE**2 * ring_floor[passed, None]
+            tops = np.count_nonzero(above, axis=1)
+            top = int(tops.max())
+            orders = np.concatenate((c[passed, : top + 1], c[passed, 2 * n - top :]), axis=1)
+            cut = np.arange(1, top + 1) > tops[:, None]
+            orders[:, 1 : top + 1][cut] = 0.0
+            orders[:, top + 1 :][cut[:, ::-1]] = 0.0
+            out[rows[passed]] = _bessel_sum(orders, x[rows[passed]], p)
+        if not passed.all():
+            work.append((rows[~passed], c[~passed]))
     return out
 
 
