@@ -11,7 +11,9 @@ seconds, ``evaluations``, ``est_error``, ``converged`` and the true error
 where an exact form exists (the two Weyl spectra are spherical waves,
 also from perfbench/reference.py).  It also records ``spectrum_calls``,
 the calls the oracle made to the spectrum, counted in a second, untimed
-run through a recording wrapper around the spectrum's ``evaluate``.
+run through a recording wrapper around the spectrum's ``evaluate``, and
+``peak_mb``, the peak of the allocations tracemalloc traced in that run
+(numpy's arrays included), in MB of 2^20 bytes.
 Then it runs the 72-case honesty grid, exact Weyl at theta in
 {1, .9, .7, .5, .3, .15}, k0*r in {5, 20, 80, 250} and rel_tol in
 {1e-4, 1e-7, 1e-10}, and keeps the worst ratio of true error to
@@ -26,8 +28,8 @@ on both sides (``identical_cases``, out of all), and gives the range of the
 relative change in ``evaluations``, the range of ``spectrum_calls`` on
 each side, the largest change of ``value`` in units of the before side's
 ``est_error``, and each side's worst ratio of true error to ``est_error``
-over the matrix cases with an exact form, beside that of the grid.  Needs
-only the standard library and what asx itself imports (numpy).
+over the matrix cases with an exact form, beside that of the grid, and
+each side's largest ``peak_mb``.  Needs only the standard library and what asx itself imports (numpy).
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -78,15 +81,19 @@ def measure(src: str) -> dict:
     from asx.harness import point_from_parameters
     from asx.spectra import SpectrumFunction
 
-    def spectrum_calls(f, p) -> int:
+    def untimed(f, p) -> tuple[int, float]:
+        """Spectrum calls and peak traced MB of one run."""
         calls = []
 
         def recording(kx, ky, kz, k0):
             calls.append(None)
             return f.evaluate(kx, ky, kz, k0)
 
+        tracemalloc.start()
         oracle_eval(SpectrumFunction(label=f.label, radial=f.radial, _fn=recording), p, 1.0)
-        return len(calls)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return len(calls), peak / 2**20
 
     points = [
         (key, theta, k0r, point_from_parameters(theta, k0r, 1.0, AZIMUTH))
@@ -104,6 +111,7 @@ def measure(src: str) -> dict:
         start = time.perf_counter()
         res = oracle_eval(f, p, 1.0)
         seconds = time.perf_counter() - start
+        calls, peak_mb = untimed(f, p)
         cases.append(
             {
                 "spectrum": key,
@@ -113,7 +121,8 @@ def measure(src: str) -> dict:
                 "seconds": seconds,
                 "value": [res.value.real, res.value.imag],
                 "evaluations": res.evaluations,
-                "spectrum_calls": spectrum_calls(f, p),
+                "spectrum_calls": calls,
+                "peak_mb": peak_mb,
                 "est_error": res.est_error,
                 "true_error": abs(res.value - exact(key, p)) if key in EXACT else None,
                 "converged": res.converged,
@@ -232,6 +241,10 @@ def main(argv: list[str] | None = None) -> int:
                     ("after", [a["spectrum_calls"] for a in after["cases"]]),
                 )
             },
+            "peak_mb": [
+                max(b["peak_mb"] for b in before["cases"]),
+                max(a["peak_mb"] for a in after["cases"]),
+            ],
             "converged_not_worse": all(
                 a["converged"] or not b["converged"]
                 for a, b in zip(after["cases"], before["cases"])

@@ -46,6 +46,7 @@ deterministic order.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import heapq
 import math
@@ -53,7 +54,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, DomainError, require_positive
+from .errors import (
+    ConfigError,
+    DivergenceError,
+    DomainError,
+    SpectrumEvaluationError,
+    require_positive,
+)
 from .spectra import SpectrumFunction
 from .spectral import ObservationPoint
 
@@ -72,7 +79,10 @@ _MAX_PHI_BANDWIDTH = float(1 << 18)
 _MAX_PHI_NODES = 1 << 15  # a ring not passed at this size ends the run
 # Complex elements per spectrum call: 64 KB arrays, one ring at least
 _BLOCK_ELEMENTS = 1 << 12
-_PANEL_BATCH = _BLOCK_ELEMENTS // 21  # 195 panels of 21 radial rows a call
+# Radial panels take the Gauss rule of this many nodes inside its Kronrod
+# extension (G10K21), 2*_GAUSS_NODES + 1 radial rows a panel
+_GAUSS_NODES = 10
+_PANEL_BATCH = _BLOCK_ELEMENTS // (2 * _GAUSS_NODES + 1)  # 195 panels a call
 _RING_START = 32  # nodes of the first ring of f on each circle
 # The orders cut from a ring's Bessel sum may take this share of its floor:
 # the cut error is spent in full, unlike the tail the doubling test bounds
@@ -145,11 +155,13 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.cache
 def _kronrod() -> tuple[np.ndarray, np.ndarray]:
-    """The 21-point Gauss-Kronrod rule on [-1, 1], shared read-only, from the
-    eigenvectors of the Jacobi-Kronrod matrix that Laurie's algorithm (Math.
-    Comp. 66, 1997; Gautschi's r_kronrod) builds from the Legendre b_k; its
-    odd-index nodes are those of _leggauss(10), so G10 reuses the K21 rows."""
-    n, k = 10, np.arange(1, 16)  # b_0..b_15 seed it; every a_k = 0 (even weight)
+    """The (2n + 1)-point Gauss-Kronrod rule on [-1, 1], n = _GAUSS_NODES,
+    shared read-only, from the eigenvectors of the Jacobi-Kronrod matrix that
+    Laurie's algorithm (Math. Comp. 66, 1997; Gautschi's r_kronrod) builds
+    from the Legendre b_k; its odd-index nodes are those of _leggauss(n), so
+    the Gauss rule reuses the Kronrod rows."""
+    n = _GAUSS_NODES
+    k = np.arange(1, 3 * n // 2 + 1)  # b_0..b_(3n/2) seed it; every a_k = 0 (even weight)
     b = np.concatenate(([2.0], k * k / (4.0 * k * k - 1.0), np.zeros(n // 2)))
     s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
     t[1] = b[n + 1]
@@ -432,8 +444,18 @@ def _phi_integrals(
             fresh *= (cos - 1j * sin) / size
             c = 0.5 * np.concatenate((c + fresh, c - fresh), axis=1)
         n = c.shape[1] // 2  # the band: orders -n..n, order -m at column 2n - m
-        power = c.real * c.real + c.imag * c.imag
-        ring_floor = floor * power.sum(axis=1)
+        power = c.real * c.real + c.imag * c.imag  # overflow silenced by oracle_eval
+        total = power.sum(axis=1)
+        # a row whose squares overflow or underflow is tested on c scaled by
+        # an exact power of two, which leaves the test and the cut as they are
+        extreme = ~((total >= 2.0**-900) & (total <= 2.0**900))
+        if extreme.any():
+            scaled = c[extreme]
+            scale = -np.frexp(np.abs(scaled).max(axis=1))[1][:, None]
+            re, im = np.ldexp(scaled.real, scale), np.ldexp(scaled.imag, scale)
+            power[extreme] = re * re + im * im
+            total[extreme] = power[extreme].sum(axis=1)
+        ring_floor = floor * total
         passed = power[:, n // 2 : 3 * n // 2 + 1].sum(axis=1) <= ring_floor
         if 2 * n >= _MAX_PHI_NODES and not passed.all():
             at = float(krho[rows[~passed][0]])
@@ -478,7 +500,7 @@ def _panels(h, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # weighted sums by numpy's own reduction: the first np.dot faults
     # 128 KB of BLAS code into the resident set
     fine = half * (weights * values).sum(axis=1)
-    coarse = half * (_leggauss(10)[1] * values[:, 1::2]).sum(axis=1)
+    coarse = half * (_leggauss(_GAUSS_NODES)[1] * values[:, 1::2]).sum(axis=1)
     return fine, np.abs(fine - coarse)
 
 
@@ -526,6 +548,9 @@ def _tail_bound(f, p, k0, s_max, count) -> float:
     return 2.0 * math.pi * fmax * math.exp(-s_max * z) * ((s_max + k0) / z + 1.0 / (z * z))
 
 
+# a spectrum's values may overflow the sums: a round whose sums are not
+# finite ends the run with SpectrumEvaluationError, not a warning
+@np.errstate(over="ignore", invalid="ignore")
 def oracle_eval(
     f: SpectrumFunction,
     p: ObservationPoint,
@@ -541,7 +566,9 @@ def oracle_eval(
     or the azimuthal node cap, which sets ``est_error`` inf) the last value
     is returned with ``converged=False`` and ``limit`` naming it.  A
     persistently growing error estimate under refinement raises
-    :class:`~asx.errors.DivergenceError`.  ``k0*r`` above
+    :class:`~asx.errors.DivergenceError`, and a value or error estimate that
+    is not finite (a spectrum large enough to overflow the sums) raises
+    :class:`~asx.errors.SpectrumEvaluationError`.  ``k0*r`` above
     ``ORACLE_K0R_ENVELOPE`` is a :class:`~asx.errors.ConfigError`.
     """
     cfg = cfg or QuadratureConfig()
@@ -585,6 +612,11 @@ def oracle_eval(
                 errors[leg] -= neg_err
             total = values[_PROP] + values[_EVAN]
             err = errors[_PROP] + errors[_EVAN] + tail
+            if not (math.isfinite(err) and cmath.isfinite(total)):
+                raise SpectrumEvaluationError(
+                    f"spectrum {f.label!r} overflows the oracle's sums: "
+                    f"value {total} with error estimate {err}"
+                )
             best_err = min(best_err, err)
             if err <= cfg.rel_tol * abs(total) or err < 1e-300:
                 break

@@ -717,6 +717,22 @@ class TestJacobiAngerPath:
             assert res.evaluations == built.evaluations
             assert abs(res.value - built.value) <= built.est_error
 
+    @pytest.mark.parametrize("k", [-960, -560, 560, 1000])
+    def test_a_power_of_two_scales_the_result_exactly(self, k):
+        # |c|^2 overflows beyond 2^512 and underflows below 2^-512, so the
+        # doubling test and the order cut must not read the squares as they
+        # stand: scaled by 2^k, f gives the value and est_error of k = 0
+        # scaled by 2^k, bit for bit, at the same evaluations
+        from asx import parse_spectrum
+
+        p = ObservationPoint(1, 0, 5)
+        base = oracle_eval(parse_spectrum("kx+1"), p, 1.0)
+        res = oracle_eval(parse_spectrum(f"{2.0**k!r}*(kx+1)"), p, 1.0)
+        assert res.converged
+        assert repr(res.value / 2.0**k) == repr(base.value)
+        assert repr(res.est_error / 2.0**k) == repr(base.est_error)
+        assert res.evaluations == base.evaluations
+
 
 def leg_integrands(f, p, count):
     """oracle_eval's two leg integrands at k0 = 1, in kz and in s, each with
