@@ -43,8 +43,9 @@ class SpectrumFunction:
     """An immutable, side-effect-free spectral amplitude.
 
     ``radial`` marks amplitudes that depend on (kx, ky) only through
-    kx^2 + ky^2: the builtins, and parsed expressions that name neither kx
-    nor ky.  The oracle then evaluates f once per circle k_rho and takes the
+    kx^2 + ky^2: the builtins, and parsed expressions in which kx and ky
+    occur only as the sum ``kx^2+ky^2`` (see :func:`parse_spectrum`).  The
+    oracle then evaluates f once per circle k_rho and takes the
     azimuthal integral as 2*pi*f(k_rho)*J0(k_rho*rho_xy); for any other
     spectrum it takes the Fourier coefficients of f from a ring of samples
     on the circle and sums them against J_m(k_rho*rho_xy).
@@ -136,17 +137,27 @@ def builtin_spectrum(name: str) -> SpectrumFunction:
     )
 
 
-def _names_in(node: expr.Node) -> set[str]:
-    """The variable and constant names an expression tree mentions."""
+# kx^2 + ky^2 as the parser writes it, in either order
+_RHO_SQUARED = tuple(
+    expr.BinOp("+", expr.Power(expr.Name(a), 2), expr.Power(expr.Name(b), 2))
+    for a, b in (("kx", "ky"), ("ky", "kx"))
+)
+
+
+def _is_radial(node: expr.Node) -> bool:
+    """Whether kx and ky occur in a tree only as the operands of a sum
+    kx^2 + ky^2 (_RHO_SQUARED)."""
+    if node in _RHO_SQUARED:
+        return True
     if isinstance(node, expr.Name):
-        return {node.ident}
+        return node.ident not in ("kx", "ky")
     if isinstance(node, (expr.Neg, expr.Call)):
-        return _names_in(node.arg)
+        return _is_radial(node.arg)
     if isinstance(node, expr.Power):
-        return _names_in(node.base)
+        return _is_radial(node.base)
     if isinstance(node, expr.BinOp):
-        return _names_in(node.left) | _names_in(node.right)
-    return set()
+        return _is_radial(node.left) and _is_radial(node.right)
+    return True
 
 
 def parse_spectrum(src: str) -> SpectrumFunction:
@@ -155,7 +166,12 @@ def parse_spectrum(src: str) -> SpectrumFunction:
     The normalized form of the expression becomes the label; syntax and
     unknown-identifier problems raise
     :class:`~asx.errors.SpectrumParseError` with a column position.  An
-    expression that names neither ``kx`` nor ``ky`` is radial.
+    expression is radial when every ``kx`` and ``ky`` in it sits in a sum
+    ``kx^2+ky^2`` or ``ky^2+kx^2`` of its own, as in
+    ``exp(-(kx^2+ky^2)/4)``.  The test is syntactic and errs one way only:
+    ``1+kx^2+ky^2`` parses as ``(1+kx^2)+ky^2`` and ``exp(-kx^2)*exp(-ky^2)``
+    names kx^2 alone, so both stay on the oracle's ring path, which is
+    slower but exact for any spectrum.
     """
     tree = expr.parse_expression(src)
     label = expr.format_expression(tree)
@@ -163,5 +179,4 @@ def parse_spectrum(src: str) -> SpectrumFunction:
     def fn(kx, ky, kz, k0):
         return expr.evaluate_tree(tree, {"kx": kx, "ky": ky, "kz": kz, "k0": k0})
 
-    radial = not _names_in(tree) & {"kx", "ky"}
-    return SpectrumFunction(label=label, radial=radial, _fn=fn)
+    return SpectrumFunction(label=label, radial=_is_radial(tree), _fn=fn)

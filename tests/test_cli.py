@@ -574,14 +574,15 @@ def near_shifted_weyl(r, theta, azimuth, t):
 
 
 # Builtins are radial and take the oracle's J0 path; a parsed spectrum that
-# names kx or ky takes a ring of f per radial node, whose size follows the
-# bandwidth of f, d*k_rho for a translation by d, up to the evanescent cutoff
-# s_max ~ 30/z.  The translated Weyl of perfbench's tweyl (d = 1.7) keeps
-# r >= 25, so that z >= 0.5 down to theta = 0.02; a Weyl translated by up to
-# 2*z has a bandwidth below ~60 wherever it is drawn, so it takes the ring
-# down to k0*r = 1e-3, where the Bessel sum's top order often exceeds
-# k_rho*rho_xy (Miller's recurrence or the power series with a high top).
-# BAD_INPUTS pins the exit codes nearer to the z = 0 plane.
+# names kx or ky other than in a sum kx^2+ky^2 takes a ring of f per radial
+# node, whose size follows the bandwidth of f, d*k_rho for a translation by
+# d, up to the evanescent cutoff s_max ~ 30/z.  The translated Weyl of
+# perfbench's tweyl (d = 1.7) keeps r >= 25, so that z >= 0.5 down to
+# theta = 0.02; a Weyl translated by up to 2*z has a bandwidth below ~60
+# wherever it is drawn, so it takes the ring down to k0*r = 1e-3, where the
+# Bessel sum's top order often exceeds k_rho*rho_xy (Miller's recurrence or
+# the power series with a high top).  BAD_INPUTS pins the exit codes nearer
+# to the z = 0 plane.
 ORACLE_CASES = st.one_of(
     st.tuples(
         st.sampled_from([["--spectrum", name] for name in ("weyl", "constant", "gaussian(2)")]),

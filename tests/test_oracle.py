@@ -286,19 +286,40 @@ class TestKronrodRule:
 
 class TestAzimuthalPaths:
     def test_radial_j0_path_matches_the_ring_of_the_parsed_twin(self):
-        # the builtin takes 2*pi*f*J0 (on axis, 2*pi*f); the parsed twin names
-        # kx and ky, so it takes a ring of f per radial node and the Bessel
+        # the builtin takes 2*pi*f*J0 (on axis, 2*pi*f); the parsed twin
+        # names kx^2 and ky^2 apart, which the radial rule does not read as
+        # kx^2 + ky^2, so it takes a ring of f per radial node and the Bessel
         # sum; they must agree within est_error
         from asx import gaussian, parse_spectrum, point_from_parameters
 
         cfg = QuadratureConfig(rel_tol=1e-9)
+        twin = parse_spectrum("exp(-kx^2/4)*exp(-ky^2/4)")
+        assert not twin.radial
         for theta in (1.0, 0.5, 0.1):
             p = point_from_parameters(theta, 12.0, 1.0, 0.4)
             built = oracle_eval(gaussian(1.0), p, 1.0, cfg)
-            parsed = oracle_eval(parse_spectrum("exp(-(kx^2+ky^2)/4)"), p, 1.0, cfg)
+            parsed = oracle_eval(twin, p, 1.0, cfg)
             assert built.converged and parsed.converged
             assert abs(built.value - parsed.value) <= built.est_error, theta
             assert built.evaluations < parsed.evaluations, theta
+
+    @pytest.mark.parametrize("theta", [1.0, 0.7, 0.3, 0.1])
+    def test_parsed_gaussian_in_kx2_plus_ky2_is_the_builtin(self, theta):
+        # exp(-(kx^2+ky^2)) is radial by the parser's rule and takes the
+        # builtin gaussian(2)'s path: the same rows give the same bits
+        from asx import parse_spectrum, point_from_parameters
+
+        cfg = QuadratureConfig(rel_tol=1e-9)
+        parsed = parse_spectrum("exp(-(kx^2+ky^2))")
+        for k0r in (5.0, 40.0, 200.0):
+            p = point_from_parameters(theta, k0r, 1.0, 0.4)
+            built = oracle_eval(gaussian(2.0), p, 1.0, cfg)
+            res = oracle_eval(parsed, p, 1.0, cfg)
+            assert (res.value, res.est_error, res.evaluations) == (
+                built.value,
+                built.est_error,
+                built.evaluations,
+            ), k0r
 
     def test_cap_without_a_passed_test_raises(self):
         # sqrt(kx) has a branch point on the ring, so its Fourier tail
@@ -517,14 +538,14 @@ class TestBesselJ0:
         from scipy.special import jv
 
         assert np.max(np.abs(bessel(BESSEL_X, 0) - jv(0, BESSEL_X))) <= 1e-15
-        # the recurrence order and the number of Hankel terms follow the
-        # extreme x of each call, so calls over narrow ranges must hold too
+        # the number of Hankel terms follows the smallest x of each call, so
+        # calls over narrow ranges must hold too
         chunks = np.array_split(np.sort(BESSEL_X), 2_000)
         assert max(np.max(np.abs(bessel(c, 0) - jv(0, c))) for c in chunks) <= 1e-15
 
     def test_zero_and_tiny_arguments(self):
-        # the recurrence would overflow like (2n/x)^n near 0; no warning,
-        # J0(0) exactly 1
+        # Miller's recurrence would overflow like (2n/x)^n near 0, the cosine
+        # sum does not: no warning, J0(0) exactly 1
         import warnings
 
         from scipy.special import jv
@@ -535,6 +556,15 @@ class TestBesselJ0:
             values = bessel(x, 0)
         assert values[0] == 1.0
         assert np.max(np.abs(values - jv(0, x))) <= 1e-15
+
+    def test_each_value_below_the_hankel_edge_depends_on_its_own_x_only(self):
+        # below x = 25, J0 is one cosine sum per x: the same bits alone as
+        # inside a call that also spans Hankel's range; J0(0) is exactly 1
+        x = np.concatenate((np.linspace(0.0, 25.0, 1_001)[:-1], np.geomspace(1e-8, 24.99, 201)))
+        mixed = bessel(np.concatenate((np.linspace(25.0, 3e5, 97), x[::-1])), 0)[97:][::-1]
+        alone = np.array([bessel([value], 0)[0] for value in x])
+        assert np.array_equal(mixed, alone)
+        assert bessel([0.0], 0)[0] == 1.0
 
 
 class TestBesselOrders:

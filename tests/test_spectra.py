@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from asx import (
@@ -10,10 +12,12 @@ from asx import (
     SpectrumParseError,
     builtin_spectrum,
     constant,
+    expr,
     gaussian,
     parse_spectrum,
     weyl,
 )
+from asx.spectra import _RHO_SQUARED
 
 
 def random_triples(rng, n):
@@ -65,13 +69,19 @@ class TestBuiltins:
         for f in (weyl(), constant(), gaussian(2.0)):
             assert f.radial
 
-    def test_parsed_spectrum_without_kx_and_ky_is_radial(self):
-        # the check is syntactic: a tree naming kx or ky is not radial even
-        # when it depends on kx^2 + ky^2 alone
+    def test_parsed_spectrum_is_radial_when_kx_and_ky_only_form_kx2_plus_ky2(self):
+        # the check is syntactic: kx and ky may occur only as the operands of
+        # a sum kx^2 + ky^2 (either order); a tree that depends on kx^2 + ky^2
+        # in another form is not radial
         assert parse_spectrum("i/(2*pi*kz)").radial
         assert parse_spectrum("exp(i*kz*k0)/(1 + kz^2)").radial
-        assert not parse_spectrum("exp(-(kx^2+ky^2)/4)").radial
+        assert parse_spectrum("exp(-(kx^2+ky^2)/4)").radial
+        assert parse_spectrum("sqrt(k0^2-(ky^2+kx^2))*(kx^2+ky^2)^-1").radial
         assert not parse_spectrum("kz*sin(ky)").radial
+        assert not parse_spectrum("1+kx^2+ky^2").radial  # (1+kx^2)+ky^2
+        assert not parse_spectrum("exp(-kx^2/4)*exp(-ky^2/4)").radial
+        assert not parse_spectrum("kx^2+kx^2").radial
+        assert not parse_spectrum("kx^2-ky^2").radial
 
     def test_array_evaluation_broadcasts(self):
         f = gaussian(1.0)
@@ -311,3 +321,46 @@ class TestDeterminism:
         f = parse_spectrum("exp(i*kz)*kx^2/(1+ky^2)")
         args = (0.3 + 0.1j, -0.7 + 0.2j, 0.9 - 0.05j, 1.0)
         assert f.evaluate(*args) == f.evaluate(*args)
+
+
+# small trees from the parser's grammar; the leaves include kx^2 + ky^2 in
+# both orders, so that radial trees naming kx and ky are drawn too
+_LEAVES = st.one_of(
+    st.sampled_from(
+        [expr.Name(name) for name in ("kx", "ky", "kz", "k0", "i", "pi")] + list(_RHO_SQUARED)
+    ),
+    st.integers(1, 4).map(lambda v: expr.Number(float(v))),
+)
+TREES = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.builds(expr.Neg, children),
+        st.builds(expr.Call, st.sampled_from(sorted(expr.FUNCTIONS)), children),
+        st.builds(expr.Power, children, st.integers(-2, 3)),
+        st.builds(expr.BinOp, st.sampled_from("+-*/"), children, children),
+    ),
+    max_leaves=8,
+)
+# (kx, ky) on circles k_rho = 1.25 and 0.625 where kx^2 + ky^2 is k_rho^2
+# exactly; none in the open third quadrant, where the complex squares of two
+# negative reals sum to k_rho^2 - 0j and a branch cut downstream would take
+# its other side
+ROTATED = ((1.25, (0.75, 1.0), (-1.0, 0.75), (0.0, 1.25)), (0.625, (0.5, -0.375), (-0.625, 0.0)))
+
+
+class TestRadialRule:
+    @settings(max_examples=200, deadline=None)
+    @given(tree=TREES)
+    def test_a_radial_spectrum_is_invariant_under_rotation(self, tree):
+        # f at (k_rho*cos(phi), k_rho*sin(phi), kz) is f at (k_rho, 0, kz),
+        # the row the oracle's radial path evaluates, to a relative 1e-12
+        f = parse_spectrum(expr.format_expression(tree))
+        assume(f.radial)
+        for krho, *turns in ROTATED:
+            try:
+                row = f.evaluate(krho, 0.0, 0.75, 1.0)
+                values = [f.evaluate(kx, ky, 0.75, 1.0) for kx, ky in turns]
+            except SpectrumEvaluationError:  # an overflow or a pole: no claim
+                continue
+            for value in values:
+                assert abs(value - row) <= 1e-12 * abs(row), f.label
