@@ -2,12 +2,14 @@
 
     python bench/oracle_matrix.py --before OTHER_CHECKOUT --out BENCH.json
 
-Runs ``oracle_eval`` (rel_tol 1e-7, k0 = 1, azimuth 0.4) on 27 cases:
-the spectra weyl, gauss (gaussian(2)) and tweyl (a parsed translated
-Weyl) of perfbench/reference.py, theta in {1, .7, .3}, k0*r in
-{20, 100, 300}, then weyl and tweyl at three points near grazing:
+Runs ``oracle_eval`` (rel_tol 1e-7, k0 = 1, azimuth 0.4) on 42 cases:
+the spectra weyl, gauss (gaussian(2)), tweyl (a parsed translated Weyl)
+and pgauss (gaussian(2) parsed, ``exp(-(kx^2+ky^2))``) of
+perfbench/reference.py, theta in {1, .7, .3}, k0*r in {20, 100, 300},
+then weyl and tweyl at three points near grazing:
 (299.9, 0, 0.5), (299.9, 0, 5) and (100, 0, 3).  Each case records
-seconds, ``evaluations``, ``est_error``, ``converged`` and the true error
+seconds, ``evaluations``, ``est_error``, ``converged``, ``radial`` (the
+spectrum's mark, which picks the oracle's J0 path) and the true error
 where an exact form exists (the two Weyl spectra are spherical waves,
 also from perfbench/reference.py).  It also records ``spectrum_calls``,
 the calls the oracle made to the spectrum, counted in a second, untimed
@@ -21,15 +23,20 @@ Then it runs the 72-case honesty grid, exact Weyl at theta in
 
 The asx under OTHER_CHECKOUT/src ("before") and the one beside this
 script ("after") each run in a fresh interpreter, alternating, REPEATS
-times; a case keeps its median time, with the fastest and slowest beside
-it in ``seconds_range``.  The summary counts the cases whose ``value``,
-``est_error``, ``evaluations`` and ``spectrum_calls`` are bit-identical
-on both sides (``identical_cases``, out of all), and gives the range of the
-relative change in ``evaluations``, the range of ``spectrum_calls`` on
-each side, the largest change of ``value`` in units of the before side's
-``est_error``, and each side's worst ratio of true error to ``est_error``
-over the matrix cases with an exact form, beside that of the grid, and
-each side's largest ``peak_mb``.  Needs only the standard library and what asx itself imports (numpy).
+times, each after one untimed warm-up case; a case keeps its median time,
+with the fastest and slowest beside it in ``seconds_range``.  The summary
+counts the cases whose ``value``, ``est_error``, ``evaluations`` and
+``spectrum_calls`` are bit-identical on both sides (``identical_cases``,
+out of all), and gives per spectrum the range of the relative change in
+``evaluations`` and the largest change of ``value``, relative and in
+units of the before side's ``est_error``; then the range of
+``spectrum_calls`` on each side, the summed median seconds of all cases
+(``matrix_seconds``) and of the cases radial on either side
+(``radial_seconds``, which tweyl's grazing cases do not drown), and each
+side's worst ratio of true error to ``est_error`` over the matrix cases
+with an exact form, beside that of the grid, and each side's largest
+``peak_mb``.  Needs only the standard library and what asx itself
+imports (numpy).
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "perfbench"))
 import reference  # noqa: E402  (spectra and exact values, apart from asx)
 
-SPECTRA = ("weyl", "gauss", "tweyl")  # keys of reference.SPECTRA
+SPECTRA = ("weyl", "gauss", "tweyl", "pgauss")  # keys of reference.SPECTRA
 EXACT = ("weyl", "tweyl")  # spectra with a closed-form true value
 REPEATS = 5
 THETAS = (1.0, 0.7, 0.3)
@@ -104,6 +111,9 @@ def measure(src: str) -> dict:
     for key in GRAZING_SPECTRA:
         for p in (ObservationPoint(*xyz) for xyz in GRAZING):
             points.append((key, p.theta, p.r, p))
+    # one untimed run first: the quadrature rules and numpy's lazy set-up are
+    # built once a process, and would otherwise be timed in the first case
+    oracle_eval(weyl(), points[0][3], 1.0)
     cases = []
     for key, theta, k0r, p in points:
         builtin, expr = reference.SPECTRA[key]
@@ -126,6 +136,7 @@ def measure(src: str) -> dict:
                 "est_error": res.est_error,
                 "true_error": abs(res.value - exact(key, p)) if key in EXACT else None,
                 "converged": res.converged,
+                "radial": f.radial,
             }
         )
     ratios = []
@@ -209,7 +220,14 @@ def main(argv: list[str] | None = None) -> int:
         a["value_rel_change"] = abs(va - vb) / abs(vb)
         a["value_change_over_est_error"] = abs(va - vb) / b["est_error"]
         a["evaluations_change"] = a["evaluations"] / b["evaluations"] - 1.0
-    evaluations_changes = [a["evaluations_change"] for a in after["cases"]]
+
+    def by_spectrum(field: str, reduce) -> dict:
+        return {
+            key: reduce([a[field] for a in after["cases"] if a["spectrum"] == key])
+            for key in SPECTRA
+        }
+
+    radial = [b["radial"] or a["radial"] for b, a in zip(before["cases"], after["cases"])]
     report = {
         "matrix": "oracle_eval, rel_tol 1e-7, k0 1, azimuth 0.4; "
         + f"theta {list(THETAS)}; k0r {list(K0RS)}; weyl and tweyl at (x, y, z) {list(GRAZING)}",
@@ -224,16 +242,18 @@ def main(argv: list[str] | None = None) -> int:
                 len(after["cases"]),
             ],
             "matrix_seconds": [before["matrix_seconds"], after["matrix_seconds"]],
+            "radial_seconds": [
+                sum(case["seconds"] for case, r in zip(side["cases"], radial) if r)
+                for side in (before, after)
+            ],
             "honesty_worst_ratio": [
                 before["honesty"]["worst_ratio"],
                 after["honesty"]["worst_ratio"],
             ],
             "matrix_worst_ratio": [matrix_worst_ratio(before), matrix_worst_ratio(after)],
-            "max_value_rel_change": max(a["value_rel_change"] for a in after["cases"]),
-            "max_value_change_over_est_error": max(
-                a["value_change_over_est_error"] for a in after["cases"]
-            ),
-            "evaluations_change": [min(evaluations_changes), max(evaluations_changes)],
+            "max_value_rel_change": by_spectrum("value_rel_change", max),
+            "max_value_change_over_est_error": by_spectrum("value_change_over_est_error", max),
+            "evaluations_change": by_spectrum("evaluations_change", lambda c: [min(c), max(c)]),
             "spectrum_calls": {
                 side: [min(calls), max(calls)]
                 for side, calls in (
