@@ -19,7 +19,7 @@ run through a recording wrapper around the spectrum's ``evaluate``, and
 Then it runs the 72-case honesty grid, exact Weyl at theta in
 {1, .9, .7, .5, .3, .15}, k0*r in {5, 20, 80, 250} and rel_tol in
 {1e-4, 1e-7, 1e-10}, and keeps the worst ratio of true error to
-``est_error``.
+``est_error`` and the worst true error over ``rel_tol``.
 
 The asx under OTHER_CHECKOUT/src ("before") and the one beside this
 script ("after") each run in a fresh interpreter, alternating, REPEATS
@@ -35,8 +35,12 @@ units of the before side's ``est_error``; then the range of
 (``radial_seconds``, which tweyl's grazing cases do not drown), and each
 side's worst ratio of true error to ``est_error`` over the matrix cases
 with an exact form, beside that of the grid, and each side's largest
-``peak_mb``.  Needs only the standard library and what asx itself
-imports (numpy).
+``peak_mb``.  Beside them it gives each side's summed ``evaluations`` and
+``spectrum_calls`` (``summed_counts``), over all cases and over the 36
+theta x k0*r cases, which a claim on cost can rest on where the seconds
+spread too wide to resolve it, and the grid's worst true error over
+``rel_tol`` (``honesty_worst_error_over_tol``).  Needs only the standard
+library and what asx itself imports (numpy).
 """
 
 from __future__ import annotations
@@ -139,19 +143,22 @@ def measure(src: str) -> dict:
                 "radial": f.radial,
             }
         )
-    ratios = []
+    ratios, over_tol = [], []
     start = time.perf_counter()
     for theta in HONESTY["theta"]:
         for k0r in HONESTY["k0r"]:
             for rel_tol in HONESTY["rel_tol"]:
                 p = point_from_parameters(theta, k0r, 1.0, AZIMUTH)
                 res = oracle_eval(weyl(), p, 1.0, QuadratureConfig(rel_tol=rel_tol))
-                ratios.append(abs(res.value - exact("weyl", p)) / res.est_error)
+                error = abs(res.value - exact("weyl", p))
+                ratios.append(error / res.est_error)
+                over_tol.append(error / rel_tol)
     return {
         "cases": cases,
         "honesty": {
             "cases": len(ratios),
             "worst_ratio": max(ratios),
+            "worst_error_over_tol": max(over_tol),
             "seconds": time.perf_counter() - start,
         },
     }
@@ -228,6 +235,14 @@ def main(argv: list[str] | None = None) -> int:
         }
 
     radial = [b["radial"] or a["radial"] for b, a in zip(before["cases"], after["cases"])]
+    grid = len(SPECTRA) * len(THETAS) * len(K0RS)  # the theta x k0r cases come first
+
+    def summed(field: str) -> dict:
+        return {
+            cases: [sum(c[field] for c in side["cases"][:stop]) for side in (before, after)]
+            for cases, stop in (("all", None), ("theta_k0r", grid))
+        }
+
     report = {
         "matrix": "oracle_eval, rel_tol 1e-7, k0 1, azimuth 0.4; "
         + f"theta {list(THETAS)}; k0r {list(K0RS)}; weyl and tweyl at (x, y, z) {list(GRAZING)}",
@@ -250,6 +265,10 @@ def main(argv: list[str] | None = None) -> int:
                 before["honesty"]["worst_ratio"],
                 after["honesty"]["worst_ratio"],
             ],
+            "honesty_worst_error_over_tol": [
+                before["honesty"]["worst_error_over_tol"],
+                after["honesty"]["worst_error_over_tol"],
+            ],
             "matrix_worst_ratio": [matrix_worst_ratio(before), matrix_worst_ratio(after)],
             "max_value_rel_change": by_spectrum("value_rel_change", max),
             "max_value_change_over_est_error": by_spectrum("value_change_over_est_error", max),
@@ -261,6 +280,7 @@ def main(argv: list[str] | None = None) -> int:
                     ("after", [a["spectrum_calls"] for a in after["cases"]]),
                 )
             },
+            "summed_counts": {field: summed(field) for field in ("evaluations", "spectrum_calls")},
             "peak_mb": [
                 max(b["peak_mb"] for b in before["cases"]),
                 max(a["peak_mb"] for a in after["cases"]),

@@ -314,7 +314,13 @@ def evaluate_tree(node: Node, env: dict):
     if isinstance(node, Neg):
         return -evaluate_tree(node.arg, env)
     if isinstance(node, Call):
-        return FUNCTIONS[node.func](np.asarray(evaluate_tree(node.arg, env), dtype=complex))
+        arg = np.asarray(evaluate_tree(node.arg, env), dtype=complex)
+        if node.func == "sqrt":
+            # squares of negative reals and negations leave a -0 imaginary
+            # part, which np.sqrt reads as the lower side of its cut; +0j
+            # turns it into +0 and keeps every nonzero imaginary part
+            arg = arg + 0j
+        return FUNCTIONS[node.func](arg)
     if isinstance(node, Power):
         base = evaluate_tree(node.base, env)
         if node.exponent < 0 and np.any(np.asarray(base) == 0):

@@ -38,6 +38,11 @@ design optimizes for controlled error rather than speed:
   their summed |K21 - G10| and the tail bound meet rel_tol * |value|; a
   leg's initial panels, a tail extension and a leg's halves of a round are
   evaluated 195 panels a call;
+* a leg starts with at least 8 panels of _phase_span(rel_tol) of phase
+  each (11.1 rad at rel_tol 1e-7): uniform in s on the evanescent leg, and
+  on the propagating leg uniform in the polar angle, kz = k0*sin(pi*j/(2n)),
+  where the phase moves at most k0r a radian, while in kz it speeds up
+  without bound towards the branch circle;
 * a ring that reaches _MAX_PHI_NODES unpassed ends the run, unconverged
   and with est_error = inf: no bound holds for a row it cannot resolve.
 
@@ -85,6 +90,14 @@ _BLOCK_ELEMENTS = 1 << 12
 # Radial panels take the Gauss rule of this many nodes inside its Kronrod
 # extension (G10K21), 2*_GAUSS_NODES + 1 radial rows a panel
 _GAUSS_NODES = 10
+# c of the Gauss rule's error c*f^(2n)(xi) on [-1, 1] (Davis & Rabinowitz,
+# Methods of Numerical Integration): on exp(i*w*t) its error is at most
+# c*w^(2n), 1.2e-24*w^20 for G10
+_GAUSS_ERROR = (
+    2.0 ** (2 * _GAUSS_NODES + 1)
+    * math.factorial(_GAUSS_NODES) ** 4
+    / ((2 * _GAUSS_NODES + 1) * math.factorial(2 * _GAUSS_NODES) ** 3)
+)
 _PANEL_BATCH = _BLOCK_ELEMENTS // (2 * _GAUSS_NODES + 1)  # 195 panels a call
 _RING_START = 32  # nodes of the first ring of f on each circle
 # The orders cut from a ring's Bessel sum may take this share of its floor:
@@ -536,6 +549,15 @@ def _panels(h, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return fine, np.abs(fine - coarse)
 
 
+def _phase_span(rel_tol: float) -> float:
+    """The phase an initial panel spans: the width at which the Gauss rule
+    alone meets rel_tol/100 on a pure oscillation, 2*(rel_tol/(100*c))^(1/2n)
+    (11.1 rad at rel_tol 1e-7, 7.0 at 1e-11), capped at 12 rad, where the
+    Kronrod rule is still about 100 times the more accurate, so that
+    |K21 - G10| stays an honest estimate at loose tolerances."""
+    return min(12.0, 2.0 * (rel_tol / (100.0 * _GAUSS_ERROR)) ** (0.5 / _GAUSS_NODES))
+
+
 def _evanescent_cutoff(
     p: ObservationPoint, k0: float, cfg: QuadratureConfig
 ) -> tuple[float, float]:
@@ -630,10 +652,19 @@ def oracle_eval(
 
     values, total, best_err, limit = [0j, 0j], 0j, math.inf, ""
     try:
-        # initial panel density scales linearly with the total phase
-        for leg, top, phase in ((_PROP, k0, k0r), (_EVAN, s_max, p.rho_xy * s_max)):
-            n = max(8, min(math.ceil(phase / 4.0), cfg.max_panels // 4))
-            edges = np.linspace(0.0, top, n + 1)
+        # initial panels span _phase_span(rel_tol) of phase each: uniform in s
+        # on the evanescent leg, whose phase is rho*s, and on the propagating
+        # leg uniform in the polar angle a (kz = k0*cos(a)), from exactly 0 to
+        # k0, as the phase k0*(z*cos(a) +- rho*sin(a)) moves at most k0r a
+        # radian of a, while in kz the J0 argument rho*sqrt(k0^2 - kz^2)
+        # speeds up without bound as kz -> k0
+        span = _phase_span(cfg.rel_tol)
+        for leg, phase in ((_PROP, k0r * math.pi / 2.0), (_EVAN, p.rho_xy * s_max)):
+            n = max(8, min(math.ceil(phase / span), cfg.max_panels // 4))
+            if leg == _PROP:
+                edges = k0 * np.sin(np.linspace(0.0, 0.5 * math.pi, n + 1))
+            else:
+                edges = np.linspace(0.0, s_max, n + 1)
             push(leg, edges[:-1], edges[1:])
         tail = _tail_bound(f, p, k0, s_max, count)
         while True:

@@ -433,10 +433,11 @@ class TestAzimuthalPaths:
         assert max(radial) > _BLOCK_ELEMENTS // 2
 
     def test_panels_are_evaluated_in_batches(self):
-        # weyl at k0r = 50, theta = theta0: a leg's initial panels (13 and
-        # 33), each tail extension (here one, of 4 panels) and each round of
-        # splits take one spectrum call, with 21 rows a panel, beside the
-        # 64 elements of each tail probe (one panel a call took 52 calls)
+        # weyl at k0r = 50, theta = theta0: a leg's initial panels (8 and
+        # 12, of about 11.1 rad of phase each), each tail extension (here
+        # one, of 4 panels) and each round of splits take one spectrum call,
+        # with 21 rows a panel, beside the 64 elements of each tail probe
+        # (one panel a call took 52 calls)
         from asx import point_from_parameters
 
         calls = []
@@ -448,7 +449,7 @@ class TestAzimuthalPaths:
         probe = SpectrumFunction(label="probe", radial=True, _fn=recording)
         res = oracle_eval(probe, point_from_parameters(1 / math.sqrt(50), 50.0, 1.0), 1.0)
         assert res.converged
-        assert res.evaluations == sum(calls) == 21 * (13 + 33 + 4) + 2 * 64
+        assert res.evaluations == sum(calls) == 21 * (8 + 12 + 4) + 2 * 64
         assert len(calls) <= 8
 
     def test_azimuthal_cap_stops_the_radial_refinement(self):
@@ -896,6 +897,60 @@ class TestRefinementRounds:
         splits, odd = divmod(pushed - initial, 2)
         assert rest == odd == 0
         assert initial + splits == budget
+
+
+class TestInitialPanels:
+    """A leg starts with panels of _phase_span(rel_tol) of phase each."""
+
+    @pytest.mark.parametrize("rel_tol, span", [(1e-7, 11.1436), (1e-11, 7.0311)])
+    def test_propagating_edges_are_uniform_in_the_polar_angle(self, monkeypatch, rel_tol, span):
+        from asx import oracle
+        from asx.oracle import _phase_span
+
+        assert _phase_span(rel_tol) == pytest.approx(span, abs=1e-4)
+        first = []
+        panels = oracle._panels
+
+        def recording(h, lo, hi):
+            if not first:
+                first.append((lo.copy(), hi.copy()))
+            return panels(h, lo, hi)
+
+        monkeypatch.setattr(oracle, "_panels", recording)
+        k0 = 2.0
+        p = ObservationPoint(30.0, 20.0, 40.0)  # k0r = 2*sqrt(2900), about 107.7
+        oracle_eval(weyl(), p, k0, QuadratureConfig(rel_tol=rel_tol))
+        lo, hi = first[0]
+        n = math.ceil(k0 * p.r * (math.pi / 2) / _phase_span(rel_tol))
+        assert n > 8 and lo.size == n
+        assert lo[0] == 0.0 and hi[-1] == k0
+        assert np.array_equal(lo[1:], hi[:-1])
+        assert_allclose(hi, k0 * np.sin(np.pi * np.arange(1, n + 1) / (2 * n)), rtol=1e-15)
+
+    @pytest.mark.parametrize("rel_tol", [1e-4, 1e-7, 1e-11])
+    def test_the_gauss_rule_meets_its_share_over_the_span(self, rel_tol):
+        # the span is where G10 alone integrates exp(i*w*t) over it to
+        # rel_tol/100 of the panel's length; w = span/2 on [-1, 1].  At the
+        # 12 rad cap (rel_tol 1e-4) it does better still
+        from asx.oracle import _GAUSS_NODES, _leggauss, _phase_span
+
+        w = _phase_span(rel_tol) / 2
+        nodes, weights = _leggauss(_GAUSS_NODES)
+        error = abs((weights * np.exp(1j * w * nodes)).sum() - 2 * math.sin(w) / w)
+        assert error <= 2 * rel_tol / 100
+        if rel_tol < 1e-6:
+            assert error >= 0.2 * rel_tol / 100  # not a looser span than needed
+
+    @pytest.mark.parametrize("rel_tol", [1e-4, 1e-7, 1e-11])
+    @pytest.mark.parametrize("k0r", [20.0, 250.0])
+    @pytest.mark.parametrize("theta", [1.0, 0.5, 0.15])
+    def test_weyl_stays_within_its_estimate(self, theta, k0r, rel_tol):
+        from asx import point_from_parameters
+
+        p = point_from_parameters(theta, k0r, 1.0, 0.4)
+        res = oracle_eval(weyl(), p, 1.0, QuadratureConfig(rel_tol=rel_tol))
+        assert res.converged
+        assert abs(res.value - spherical_wave(p)) <= res.est_error
 
 
 class TestSommerfeldPath:

@@ -315,6 +315,20 @@ class TestEvaluationFaults:
         value = f.evaluate(0.0, 0.0, -4.0 + 0.0j, 1.0)
         assert_allclose(value, 2.0j, rtol=1e-15)
 
+    @pytest.mark.parametrize(
+        "src, kx, ky, expected",
+        [
+            ("sqrt(-kx^2)", 0.5, 0.0, 0.5j),
+            ("sqrt(-kx^2)", -0.5, 0.0, 0.5j),
+            ("sqrt(-(kx^2+ky^2))", 1.25, 0.0, 1.25j),
+            ("sqrt(-(kx^2+ky^2))", -0.75, -1.0, 1.25j),
+        ],
+    )
+    def test_principal_branch_sqrt_on_signed_zeros(self, src, kx, ky, expected):
+        # the complex squares and negations of real numbers carry a -0
+        # imaginary part, which must not pick the lower side of the cut
+        assert parse_spectrum(src).evaluate(kx, ky, 0.5, 1.0) == expected
+
 
 class TestDeterminism:
     def test_parsed_evaluation_is_reproducible(self):
@@ -342,10 +356,12 @@ TREES = st.recursive(
     max_leaves=8,
 )
 # (kx, ky) on circles k_rho = 1.25 and 0.625 where kx^2 + ky^2 is k_rho^2
-# exactly; none in the open third quadrant, where the complex squares of two
-# negative reals sum to k_rho^2 - 0j and a branch cut downstream would take
-# its other side
-ROTATED = ((1.25, (0.75, 1.0), (-1.0, 0.75), (0.0, 1.25)), (0.625, (0.5, -0.375), (-0.625, 0.0)))
+# exactly, in every quadrant: in the third the complex squares of two
+# negative reals sum to k_rho^2 - 0j, which sqrt must read as the row does
+ROTATED = (
+    (1.25, (0.75, 1.0), (-1.0, 0.75), (0.0, 1.25), (-0.75, -1.0)),
+    (0.625, (0.5, -0.375), (-0.625, 0.0)),
+)
 
 
 class TestRadialRule:
