@@ -11,12 +11,14 @@ Grammar (standard infix, whitespace insignificant, case-sensitive):
 Names: variables ``kx ky kz k0``, constants ``i pi``, functions
 ``exp sqrt sin cos``.  Exponents are integer literals only, so no
 multivalued complex powers arise; ``sqrt`` uses the principal branch.
-Malformed input raises :class:`SpectrumParseError` with a 1-based column
-and the set of token classes that would have been accepted.
+Malformed input, a number literal beyond the largest float included,
+raises :class:`SpectrumParseError` with a 1-based column and the set of
+token classes that would have been accepted.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -213,7 +215,14 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            return Number(float(tok.text))
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise SpectrumParseError(
+                    f"number {tok.text!r} overflows at column {tok.pos}",
+                    position=tok.pos,
+                    expected=("finite number",),
+                )
+            return Number(value)
         if tok.kind == "name":
             self.advance()
             follow = self.peek()

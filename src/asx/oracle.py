@@ -29,10 +29,11 @@ design optimizes for controlled error rather than speed:
 * J0 alone (the radial path) is the 64-node trapezoid of Bessel's
   integral below x = 25, one cosine sum per x, and Hankel's expansion from
   there on;
-* J_m for all orders of a ring's call comes from one in-module recurrence:
-  the power series, Miller's backward recurrence, or Hankel's expansion for
-  J0 and J1 followed by the forward recurrence; orders where
-  (x/2)^m/m! <= e^-42 at the call's largest x are left out of the sum;
+* J_m for all orders of a ring's call comes, below x = max(25, top), from
+  one FFT of the same integral, whose n-node trapezoid holds every order at
+  once, and from there on from Hankel's expansion for J0 and J1 followed by
+  the forward recurrence; orders where (x/2)^m/m! <= e^-42 at the call's
+  largest x are left out of the sum;
 * both legs share one heap of 21-point Gauss-Kronrod panels (interior
   nodes, so the branch circle is never evaluated), split in rounds until
   their summed |K21 - G10| and the tail bound meet rel_tol * |value|; a
@@ -104,12 +105,9 @@ _RING_START = 32  # nodes of the first ring of f on each circle
 # the cut error is spent in full, unlike the tail the doubling test bounds
 _CUT_SHARE = 1e-3
 _PROP, _EVAN = 0, 1  # legs of the kz contour: kz in [0, k0], then kz = i*s
-# J_m takes its power series below the first edge (where a step of Miller's
-# recurrence could overflow), and J0, J1 take Hankel's expansion from the second
-# on; J0 alone takes Bessel's integral below the second
-_J_SERIES_EDGE = 1.0
+# J0 and J1 take Hankel's expansion from this edge on, and every J_m below it
+# takes Bessel's integral
 _J_HANKEL_EDGE = 25.0
-_MILLER_RESCALE = 1e250  # Miller's values are scaled down beyond this
 
 
 @dataclass(frozen=True)
@@ -203,18 +201,6 @@ def _kronrod() -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _series_coefficients(m: int) -> np.ndarray:
-    """1/(k!*(k + m)!)*m!, the power series of J_m in -x^2/4 after its
-    leading (x/2)^m/m!, cut where the terms fall below 2^-60 at
-    _J_SERIES_EDGE."""
-    series = [1.0]
-    while series[-1] * (0.25 * _J_SERIES_EDGE**2) ** (len(series) - 1) > 2.0**-60:
-        k = len(series)
-        series.append(series[-1] / (k * (k + m)))
-    return np.array(series)
-
-
-@functools.cache
 def _hankel_coefficients(nu: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows (P_j, Q_j) of Hankel's expansion of J_nu (A&S 9.2.5, 9.2.9),
     J_nu(x) = sqrt(2/(pi*x))*(P*cos(chi) - Q*sin(chi)) with
@@ -258,51 +244,19 @@ def _integral_j0(x: np.ndarray, top: int) -> np.ndarray:
     return (np.cos(x[:, None] * nodes) * weights).sum(axis=1)
 
 
-def _series_orders(x: np.ndarray, top: int) -> np.ndarray:
-    """J_0..J_top of x < _J_SERIES_EDGE by the power series, one row per
-    order; orders whose leading term (x/2)^m/m! has underflowed stay 0."""
-    out = np.zeros((top + 1, x.size))
-    q = -0.25 * x * x
-    lead = np.ones(x.shape)  # (x/2)^m/m!
-    for m in range(top + 1):
-        out[m] = lead * np.polynomial.polynomial.polyval(q, _series_coefficients(m))
-        lead = lead * (0.5 * x / (m + 1))
-        if not lead.any():
-            break
-    return out
+def _integral_orders(x: np.ndarray, top: int) -> np.ndarray:
+    """J_0..J_top of x < max(_J_HANKEL_EDGE, top), one row per order, by one
+    FFT of Bessel's integral: the n-node trapezoid of exp(i*x*sin t) over a
+    period holds J_k(x) in its k-th Fourier coefficient, plus the aliases
+    J_(k +- jn).  n is the power of two at least top + max(61, e*x_edge),
+    x_edge = max(_J_HANKEL_EDGE, top): an alias's order is then at least
+    e*x, where |J_k(x)| <= (e*x/(2k))^k <= 2^-k < 2^-61.  n follows top
+    alone, so each row's bits depend on its own x and top only."""
+    from numpy import fft
 
-
-def _miller_orders(x: np.ndarray, top: int) -> np.ndarray:
-    """J_0..J_top of x >= _J_SERIES_EDGE by Miller's backward recurrence
-    J_{k-1} = (2k/x)*J_k - J_{k+1}, one row per order, started at J_n = 1,
-    J_{n+1} = 0 from an even order n set by top and the largest x, and
-    normalized by J0 + 2*(J2 + J4 + ...) = 1.  A step grows the values by at
-    most 2k/x + 1; where the product of those factors could overflow, a
-    column passing _MILLER_RESCALE is scaled down with every order it holds
-    (its highest orders then underflow towards their true, tiny values).
-    Below _J_SERIES_EDGE a single step could overflow."""
-    top_x = float(x.max())
-    n = 2 * math.ceil((max(top, top_x) + 12.0 + 8.0 * top_x ** (1.0 / 3.0)) / 2.0)
-    rescale = n * math.log1p(2.0 * n / float(x.min())) > math.log(_MILLER_RESCALE)
-    two_over_x = 2.0 / x
-    out = np.empty((top + 1, x.size))
-    above, at = np.zeros(x.shape), np.ones(x.shape)  # J_{k+1}, J_k at k = n
-    even_sum = at.copy()  # J_n + J_{n-2} + ... down to the current k
-    for k in range(n, 0, -2):
-        odd = k * two_over_x * at - above
-        above, at = odd, (k - 1) * two_over_x * odd - at
-        even_sum += at
-        if k - 1 <= top:
-            out[k - 1] = odd
-        if k - 2 <= top:
-            out[k - 2] = at
-        if rescale:
-            big = np.abs(at) > _MILLER_RESCALE
-            if big.any():
-                for values in (above, at, even_sum):
-                    values[big] /= _MILLER_RESCALE
-                out[k - 2 :, big] /= _MILLER_RESCALE
-    return out / (2.0 * even_sum - at)
+    n = 1 << (top + max(61, math.ceil(math.e * max(_J_HANKEL_EDGE, top))) - 1).bit_length()
+    sin = _circle(n, 0.0)[1]
+    return fft.fft(np.exp(1j * x[:, None] * sin), axis=1)[:, : top + 1].real.T / n
 
 
 def _hankel(x: np.ndarray, nu: int) -> np.ndarray:
@@ -337,22 +291,17 @@ def _hankel_orders(x: np.ndarray, top: int) -> np.ndarray:
 def _bessel_orders(x: np.ndarray, top: int) -> np.ndarray:
     """Bessel J_0..J_top of real x >= 0, shape (top + 1, x.size): Hankel's
     expansion and the forward recurrence where x >= _J_HANKEL_EDGE and
-    x >= top; below that, J0 alone (top = 0) by Bessel's integral
-    (_integral_j0), and J_0..J_top by the power series below _J_SERIES_EDGE
-    and Miller's recurrence in between.  Against scipy.special.jv, measured
-    on 200,001 points of [0, 25], J0 (top = 0) is within 8.3e-16 (at
-    x = 18.3) and J1 (top = 1) within 4.7e-16 (at x = 22.8); on 300,001
-    points of [25, 3e5] both are within 6e-17.  The order of Miller's recurrence and the number of
-    Hankel terms follow the extreme x of their part of the call."""
+    x >= top, and Bessel's integral below that, J0 alone (top = 0) by the
+    cosine sum of _integral_j0 and J_0..J_top by the FFT of
+    _integral_orders.  Against scipy.special.jv, measured on 200,001 points
+    of [0, 25], J0 (top = 0) is within 8.3e-16 (at x = 18.3) and J1 (top = 1)
+    within 6.7e-16 (at x = 13.4); on 300,001 points of [25, 3e5] both are
+    within 6e-17.  The number of Hankel terms follows the smallest x of its
+    part of the call."""
     out = np.empty((top + 1, x.size))
     hankel = (x >= _J_HANKEL_EDGE) & (x >= top)
-    if top:
-        series = x < _J_SERIES_EDGE
-        miller = ~series & ~hankel
-        kernels = ((series, _series_orders), (miller, _miller_orders), (hankel, _hankel_orders))
-    else:
-        kernels = ((~hankel, _integral_j0), (hankel, _hankel_orders))
-    for part, kernel in kernels:
+    integral = _integral_orders if top else _integral_j0
+    for part, kernel in ((~hankel, integral), (hankel, _hankel_orders)):
         if part.any():
             out[:, part] = kernel(x[part], top)
     return out

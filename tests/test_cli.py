@@ -396,6 +396,13 @@ class TestParseCheck:
         assert payload["ok"] is False
         assert payload["position"] == 5
 
+    def test_overflowing_literal_reports_its_column(self, capsys):
+        code, out, _ = run_main(capsys, ["parse-check", "--spectrum-expr", "kx+1e400"])
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["ok"] is False
+        assert payload["position"] == 4
+
     def test_unbalanced_parenthesis(self, capsys):
         code, out, _ = run_main(capsys, ["parse-check", "--spectrum-expr", "exp(kz"])
         assert code == 2
@@ -510,6 +517,8 @@ BAD_INPUTS = [
     # with no numpy warning
     ("oracle --spectrum-expr 1e308*kz --point 1,0,5", 4, 0),
     ("oracle --spectrum-expr 1e307*kz --point 1,0,5", 4, 0),
+    # a literal beyond the largest float is a parse error
+    ("eval --spectrum-expr 1e999*kx --point 1,1,1", 2, 0),
 ]
 
 
@@ -580,8 +589,8 @@ def near_shifted_weyl(r, theta, azimuth, t):
 # perfbench's tweyl (d = 1.7) keeps r >= 25, so that z >= 0.5 down to
 # theta = 0.02; a Weyl translated by up to 2*z has a bandwidth below ~60
 # wherever it is drawn, so it takes the ring down to k0*r = 1e-3, where the
-# Bessel sum's top order often exceeds k_rho*rho_xy (Miller's recurrence or
-# the power series with a high top).  BAD_INPUTS pins the exit codes nearer
+# Bessel sum's top order often exceeds k_rho*rho_xy (Bessel's integral with
+# a high top).  BAD_INPUTS pins the exit codes nearer
 # to the z = 0 plane.
 ORACLE_CASES = st.one_of(
     st.tuples(

@@ -519,12 +519,12 @@ def bessel(x, order):
     return _bessel_orders(np.asarray(x, dtype=float), order)[order]
 
 
-# dense on both sides of the kernels' edges, x = 1 and x = 25
+# dense around x = 1 and on both sides of the Hankel expansion's edge, x = 25
 BESSEL_X = np.concatenate(
     (
         np.linspace(0.0, 3e5, 300_001),
         np.geomspace(1e-8, 3e5, 10_001),
-        np.linspace(0.5, 1.5, 2_001),  # the power series' edge
+        np.linspace(0.5, 1.5, 2_001),  # around x = 1
         np.linspace(24.0, 26.0, 4_001),  # the Hankel expansion's edge
         [1.0, 25.0, *[np.nextafter(e, side) for e in (1.0, 25.0) for side in (0.0, np.inf)]],
     )
@@ -545,8 +545,8 @@ class TestBesselJ0:
         assert max(np.max(np.abs(bessel(c, 0) - jv(0, c))) for c in chunks) <= 1e-15
 
     def test_zero_and_tiny_arguments(self):
-        # Miller's recurrence would overflow like (2n/x)^n near 0, the cosine
-        # sum does not: no warning, J0(0) exactly 1
+        # a recurrence downward in order would overflow like (2n/x)^n near 0,
+        # the cosine sum does not: no warning, J0(0) exactly 1
         import warnings
 
         from scipy.special import jv
@@ -557,15 +557,6 @@ class TestBesselJ0:
             values = bessel(x, 0)
         assert values[0] == 1.0
         assert np.max(np.abs(values - jv(0, x))) <= 1e-15
-
-    def test_each_value_below_the_hankel_edge_depends_on_its_own_x_only(self):
-        # below x = 25, J0 is one cosine sum per x: the same bits alone as
-        # inside a call that also spans Hankel's range; J0(0) is exactly 1
-        x = np.concatenate((np.linspace(0.0, 25.0, 1_001)[:-1], np.geomspace(1e-8, 24.99, 201)))
-        mixed = bessel(np.concatenate((np.linspace(25.0, 3e5, 97), x[::-1])), 0)[97:][::-1]
-        alone = np.array([bessel([value], 0)[0] for value in x])
-        assert np.array_equal(mixed, alone)
-        assert bessel([0.0], 0)[0] == 1.0
 
 
 class TestBesselOrders:
@@ -579,10 +570,23 @@ class TestBesselOrders:
         chunks = np.array_split(np.sort(BESSEL_X), 2_000)
         assert max(np.max(np.abs(bessel(c, 1) - jv(1, c))) for c in chunks) <= 1e-15
 
+    @pytest.mark.parametrize("top", [0, 1, 14, 64])
+    def test_each_value_below_the_hankel_edge_depends_on_its_own_x_only(self, top):
+        # below x = 25, every order is Bessel's integral of its own x: the
+        # same bits alone as inside a call that also spans Hankel's range;
+        # J0(0) is exactly 1
+        from asx.oracle import _bessel_orders
+
+        x = np.concatenate((np.linspace(0.0, 25.0, 1_001)[:-1], np.geomspace(1e-8, 24.99, 201)))
+        mixed = _bessel_orders(np.concatenate((np.linspace(25.0, 3e5, 97), x[::-1])), top)
+        alone = np.array([_bessel_orders(np.array([value]), top)[:, 0] for value in x])
+        assert np.array_equal(mixed[:, 97:][:, ::-1], alone.T)
+        assert _bessel_orders(np.zeros(1), top)[0, 0] == 1.0
+
     @pytest.mark.parametrize("top", [2, 7, 64, 300])
     def test_orders_match_scipy_jv(self, top):
-        # forward recurrence where x >= max(25, top), Miller's below, the
-        # power series below 1; orders up to 64 are checked.  The bound
+        # forward recurrence where x >= max(25, top), the FFT of Bessel's
+        # integral below; orders up to 64 are checked.  The bound
         # grows like sqrt(x) for jv's own error at high orders: at order 64,
         # x = 1849, jv is off by 2.9e-14 and _bessel_orders by 5e-19
         from scipy.special import jv
@@ -602,8 +606,9 @@ class TestBesselOrders:
         assert np.max(error / (1.0 + np.sqrt(x))) <= 1e-15
 
     def test_tiny_arguments_of_high_orders(self):
-        # x = 1e-7 overflows Miller's steps at order 32; the power series
-        # takes it, and its high orders underflow to 0 without a warning
+        # x = 1e-7 would overflow a downward recurrence at order 32; Bessel's
+        # integral takes it without a warning, its high orders within
+        # rounding of their tiny values and exactly 0 at x = 0
         import warnings
 
         from scipy.special import jv
@@ -618,8 +623,9 @@ class TestBesselOrders:
         assert np.max(np.abs(values - jv(np.arange(65)[:, None], x))) <= 2e-16
 
     def test_miller_rescales_rather_than_overflow(self):
-        # from order 2000 down to x = 1 the values grow by ~1e5700; the
-        # scaled recurrence keeps them finite and the low orders exact
+        # from order 2000 down to x = 1 a downward recurrence would grow by
+        # ~1e5700; Bessel's integral on 8192 nodes keeps every order finite
+        # and the low orders exact
         import warnings
 
         from scipy.special import jv
@@ -663,7 +669,7 @@ class TestJacobiAngerPath:
     )
     def test_rows_match_a_brute_force_trapezoid(self, point):
         # rows on both legs; at (0.5, 0.2, 1) k_rho*rho_xy stays below the
-        # top order of f, where J_m comes from Miller's recurrence
+        # top order of f, where J_m comes from Bessel's integral
         from asx import parse_spectrum
         from asx.oracle import _Counter, _phi_integrals
 
@@ -885,9 +891,10 @@ class TestRefinementRounds:
     def test_rounds_never_pass_the_panel_budget(self, budget):
         # weyl on axis at k0r = 300 cannot meet 1e-8 within these budgets.
         # Each radial panel pushed costs 21 elements and the one tail probe
-        # 64.  The run starts with max(8, budget/4) propagating panels (k0r/4
-        # is more) and 8 evanescent ones (rho = 0), and each split pushes two
-        # halves in place of one panel, so it ends holding initial + splits
+        # 64.  The run starts with max(8, budget/4) propagating panels (the
+        # phase's ceil(k0r*(pi/2)/span) is more, 48 at rel_tol 1e-8) and 8
+        # evanescent ones (rho = 0), and each split pushes two halves in
+        # place of one panel, so it ends holding initial + splits
         res = oracle_eval(
             weyl(), ObservationPoint(0, 0, 300), 1.0, QuadratureConfig(rel_tol=1e-8, max_panels=budget)
         )

@@ -226,6 +226,10 @@ MALFORMED = [
     "1 2",
     "kx*/ky",
     "sqrt(kx))",
+    # number literals beyond the largest float
+    "1e999",
+    "2*1e999",
+    "kx+1e400",
 ]
 
 
