@@ -156,8 +156,8 @@ def local_sdp_integral(
     on-path phase U (not its quadratic model) over
     ``[-h, h]^2``, ``h = local_half_width(k0*r) = 6/sqrt(k0*r)``, by
     tensor-product Gauss-Legendre quadrature with ``n`` nodes per axis,
-    then applies the path measure ``J = kzs^2*(1-i)^2`` and the carrier
-    ``exp(i*k0*r)``.
+    then applies the carrier ``exp(i*k0*r)`` and the path measure
+    ``J = kzs^2*(1-i)^2``, one ``kzs`` at a time (``kzs^2`` can underflow).
 
     This is the mid-level verification between the brute-force oracle and
     :func:`leading_order`: it shares the window with the closed form but
@@ -172,7 +172,5 @@ def local_sdp_integral(
     wi = half_width * w
     u, kx, ky, kz = _phase_grid(s, p, xi[:, None], xi[None, :])
     integrand = f.evaluate(kx, ky, kz, k0) * np.exp(1j * s.k0r * u)
-    jacobian = s.kzs * s.kzs * (1.0 - 1.0j) ** 2
-    return complex(
-        jacobian * np.exp(1j * s.k0r) * np.einsum("i,j,ij->", wi, wi, integrand)
-    )
+    carried = (1.0 - 1.0j) ** 2 * np.exp(1j * s.k0r) * np.einsum("i,j,ij->", wi, wi, integrand)
+    return complex(s.kzs * (s.kzs * carried))

@@ -13,7 +13,8 @@ Names: variables ``kx ky kz k0``, constants ``i pi``, functions
 multivalued complex powers arise; ``sqrt`` uses the principal branch.
 Malformed input, a number literal beyond the largest float included,
 raises :class:`SpectrumParseError` with a 1-based column and the set of
-token classes that would have been accepted.
+token classes that would have been accepted; so does a tree nested deeper
+than _MAX_DEPTH levels.
 """
 
 from __future__ import annotations
@@ -83,6 +84,11 @@ class Call:
 
 Node = Union[Number, Name, Neg, BinOp, Power, Call]
 
+# Levels a tree may nest: each operator, sign, power, call and group adds one.
+# The parser recurses six times a group, format_expression, evaluate_tree and
+# the radial test once a level: well inside Python's default limit of 1000.
+_MAX_DEPTH = 100
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
@@ -114,12 +120,8 @@ def _tokenize(src: str) -> list[_Token]:
                 position=col,
                 expected=("number", "identifier", "operator"),
             )
-        if m.group("num") is not None:
-            tokens.append(_Token("num", m.group("num"), m.start("num") + 1))
-        elif m.group("name") is not None:
-            tokens.append(_Token("name", m.group("name"), m.start("name") + 1))
-        else:
-            tokens.append(_Token("op", m.group("op"), m.start("op") + 1))
+        kind = m.lastgroup  # num, name or op: the one alternative that matched
+        tokens.append(_Token(kind, m.group(kind), m.start(kind) + 1))
         index = m.end()
     tokens.append(_Token("end", "", len(src) + 1))
     return tokens
@@ -129,6 +131,7 @@ class _Parser:
     def __init__(self, src: str):
         self.tokens = _tokenize(src)
         self.at = 0
+        self.groups = 0  # groups the parser is inside: bounds its own recursion
 
     def peek(self) -> _Token:
         return self.tokens[self.at]
@@ -147,56 +150,70 @@ class _Parser:
             expected=expected,
         )
 
-    def expect_close(self):
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != ")":
-            self.fail("unbalanced parenthesis", tok, ("')'",))
+    def nest(self, depth: int, tok: _Token) -> int:
+        """depth + 1 for a level made at tok, refused there beyond _MAX_DEPTH;
+        the methods below return a tree with its depth."""
+        if depth >= _MAX_DEPTH:
+            message = f"expression nested deeper than {_MAX_DEPTH} levels at column {tok.pos}"
+            raise SpectrumParseError(message, position=tok.pos, expected=())
+        return depth + 1
+
+    def group(self, tok: _Token) -> tuple[Node, int]:
+        """The sum inside the parentheses opened at tok, one level deeper."""
+        self.groups = self.nest(self.groups, tok)
+        node, depth = self.sum()
+        close = self.peek()
+        if close.kind != "op" or close.text != ")":
+            self.fail("unbalanced parenthesis", close, ("')'",))
         self.advance()
+        self.groups -= 1
+        return node, self.nest(depth, tok)
 
     def parse(self) -> Node:
-        node = self.sum()
+        node, _ = self.sum()
         tok = self.peek()
         if tok.kind != "end":
             self.fail("trailing input", tok, ("'+'", "'-'", "'*'", "'/'", "'^'"))
         return node
 
-    def sum(self) -> Node:
-        node = self.product()
+    def sum(self) -> tuple[Node, int]:
+        node, depth = self.product()
         while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = BinOp(op, node, self.product())
-        return node
+            tok = self.advance()
+            right, right_depth = self.product()
+            node, depth = BinOp(tok.text, node, right), self.nest(max(depth, right_depth), tok)
+        return node, depth
 
-    def product(self) -> Node:
-        node = self.unary()
+    def product(self) -> tuple[Node, int]:
+        node, depth = self.unary()
         while self.peek().kind == "op" and self.peek().text in "*/":
             tok = self.advance()
-            right = self.unary()
+            right, right_depth = self.unary()
             if tok.text == "/" and isinstance(right, Number) and right.value == 0.0:
                 raise SpectrumParseError(
                     f"division by constant zero at column {tok.pos}",
                     position=tok.pos,
                     expected=(),
                 )
-            node = BinOp(tok.text, node, right)
-        return node
+            node, depth = BinOp(tok.text, node, right), self.nest(max(depth, right_depth), tok)
+        return node, depth
 
-    def unary(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            return Neg(self.unary())
-        if tok.kind == "op" and tok.text == "+":
-            self.advance()
-            return self.unary()
-        return self.power()
+    def unary(self) -> tuple[Node, int]:
+        signs = []
+        while self.peek().kind == "op" and self.peek().text in "+-":
+            signs.append(self.advance())
+        node, depth = self.power()
+        for tok in reversed(signs):
+            if tok.text == "-":
+                node, depth = Neg(node), self.nest(depth, tok)
+        return node, depth
 
-    def power(self) -> Node:
-        node = self.atom()
+    def power(self) -> tuple[Node, int]:
+        node, depth = self.atom()
         while self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
-            node = Power(node, self.integer_exponent())
-        return node
+            tok = self.advance()
+            node, depth = Power(node, self.integer_exponent()), self.nest(depth, tok)
+        return node, depth
 
     def integer_exponent(self) -> int:
         sign = 1
@@ -211,7 +228,7 @@ class _Parser:
         self.advance()
         return sign * int(tok.text)
 
-    def atom(self) -> Node:
+    def atom(self) -> tuple[Node, int]:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
@@ -222,7 +239,7 @@ class _Parser:
                     position=tok.pos,
                     expected=("finite number",),
                 )
-            return Number(value)
+            return Number(value), 1
         if tok.kind == "name":
             self.advance()
             follow = self.peek()
@@ -234,11 +251,10 @@ class _Parser:
                         expected=tuple(sorted(FUNCTIONS)),
                     )
                 self.advance()
-                arg = self.sum()
-                self.expect_close()
-                return Call(tok.text, arg)
+                arg, depth = self.group(tok)
+                return Call(tok.text, arg), depth
             if tok.text in VARIABLES or tok.text in CONSTANTS:
-                return Name(tok.text)
+                return Name(tok.text), 1
             raise SpectrumParseError(
                 f"unknown identifier {tok.text!r} at column {tok.pos}",
                 position=tok.pos,
@@ -246,9 +262,7 @@ class _Parser:
             )
         if tok.kind == "op" and tok.text == "(":
             self.advance()
-            node = self.sum()
-            self.expect_close()
-            return node
+            return self.group(tok)
         self.fail("syntax error", tok, ("number", "identifier", "'('", "'-'"))
 
 

@@ -3,12 +3,14 @@
 This is the ground truth every asymptotic claim is checked against, so the
 design optimizes for controlled error rather than speed:
 
+* wavenumbers in units of k0, lengths in units of 1/k0 (q = k0*p), except
+  in f's arguments; each part and est_error scale back by k0*(k0*part);
 * polar spectral coordinates (k_rho, phi); the radial integral runs along
   one contour in the kz plane with two legs that meet at the branch circle
-  k_rho = k0, the only non-smooth locus of the integrand;
-* the propagating leg is kz in [0, k0] (k_rho dk_rho = -kz dkz), which
+  k_rho = 1, the only non-smooth locus of the integrand;
+* the propagating leg is kz in [0, 1] (k_rho dk_rho = -kz dkz), which
   turns the 1/kz Weyl-type singularity into a smooth integrand;
-* the evanescent leg is kz = i*s with s = sqrt(k_rho^2 - k0^2), so the
+* the evanescent leg is kz = i*s with s = sqrt(k_rho^2 - 1), so the
   weight becomes exp(-s*z) and the truncation point s_max is chosen where
   exp(-s*z) < rel_tol/10, provably below the accuracy target;
 * the azimuthal integral is a Bessel sum by the Jacobi-Anger expansion,
@@ -41,7 +43,7 @@ design optimizes for controlled error rather than speed:
   evaluated 195 panels a call;
 * a leg starts with at least 8 panels of _phase_span(rel_tol) of phase
   each (11.1 rad at rel_tol 1e-7): uniform in s on the evanescent leg, and
-  on the propagating leg uniform in the polar angle, kz = k0*sin(pi*j/(2n)),
+  on the propagating leg uniform in the polar angle, kz = sin(pi*j/(2n)),
   where the phase moves at most k0r a radian, while in kz it speeds up
   without bound towards the branch circle;
 * a ring that reaches _MAX_PHI_NODES unpassed ends the run, unconverged
@@ -104,10 +106,11 @@ _RING_START = 32  # nodes of the first ring of f on each circle
 # The orders cut from a ring's Bessel sum may take this share of its floor:
 # the cut error is spent in full, unlike the tail the doubling test bounds
 _CUT_SHARE = 1e-3
-_PROP, _EVAN = 0, 1  # legs of the kz contour: kz in [0, k0], then kz = i*s
+_PROP, _EVAN = 0, 1  # legs of the kz contour: kz in [0, 1], then kz = i*s
 # J0 and J1 take Hankel's expansion from this edge on, and every J_m below it
 # takes Bessel's integral
 _J_HANKEL_EDGE = 25.0
+_J0_WEIGHTS = np.array([2.0] + [4.0] * 15 + [2.0]) / 64.0  # _integral_j0's; sum 1
 
 
 @dataclass(frozen=True)
@@ -221,27 +224,15 @@ def _hankel_coefficients(nu: int) -> tuple[np.ndarray, np.ndarray]:
     return hankel, reach
 
 
-@functools.cache
-def _j0_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes sin(2*pi*j/64), j = 0..16, and weights (2, 4, ..., 4, 2)/64 of the
-    64-node trapezoid of Bessel's integral J0(x) = (1/2pi)*int cos(x*sin t) dt
-    over a period (A&S 9.1.18), folded by the symmetries of sin onto its 17
-    distinct |sin t|; shared read-only.  The weights sum to exactly 1."""
-    nodes = np.sin(2.0 * math.pi * np.arange(17) / 64.0)
-    weights = np.full(17, 4.0 / 64.0)
-    weights[[0, -1]] = 2.0 / 64.0
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
 def _integral_j0(x: np.ndarray, top: int) -> np.ndarray:
-    """J0 of x < _J_HANKEL_EDGE (top = 0) by the trapezoid of _j0_rule.  The
+    """J0 of x < _J_HANKEL_EDGE (top = 0) by the 64-node trapezoid of Bessel's
+    integral (1/2pi)*int cos(x*sin t) dt (A&S 9.1.18), folded onto the 17
+    distinct |sin t| of the 64-node circle, weights (2, 4, ..., 4, 2)/64.  The
     integrand is periodic and analytic, so the rule's error is its aliasing,
     2*sum_k J_64k(x) <= 2*(x/2)^64/64! < 3e-19 for x <= 25; J0(0) is exactly
     1.  Each row is summed by itself, so its bits depend on its own x only
     (a BLAS product would not promise that)."""
-    nodes, weights = _j0_rule()
-    return (np.cos(x[:, None] * nodes) * weights).sum(axis=1)
+    return (np.cos(x[:, None] * _circle(64, 0.0)[1, 0, :17]) * _J0_WEIGHTS).sum(axis=1)
 
 
 def _integral_orders(x: np.ndarray, top: int) -> np.ndarray:
@@ -330,15 +321,15 @@ def _circle(n: int, shift: float) -> np.ndarray:
 
 
 def _ring_values(f, krho, kz, k0: float, n: int, shift: float, count: _Counter):
-    """f at the n azimuths 2*pi*(j + shift)/n on each circle krho[r] (at kz[r]),
-    one row per circle: the oracle's one spectrum call, counted here (n = 1
-    gives the radial rows, with ky = +0.0).  _phi_integrals keeps a call
+    """f at the n azimuths 2*pi*(j + shift)/n on each circle k0*krho[r] (at
+    k0*kz[r]), one row per circle: the oracle's one spectrum call, counted here
+    (n = 1 gives the radial rows, with ky = +0.0).  _phi_integrals keeps a call
     of rings within _BLOCK_ELEMENTS elements (one ring at least), and
     oracle_eval's batches of at most 195 panels keep a radial call there."""
-    kx, ky = krho[:, None] * _circle(n, shift)
+    kx, ky = krho[:, None] * (k0 * _circle(n, shift))
     count.n += kx.size
     # a copy costs less than np.broadcast_to at these sizes
-    return f.evaluate(kx, ky, kz[:, None].repeat(n, axis=1), k0)
+    return f.evaluate(kx, ky, (k0 * kz)[:, None].repeat(n, axis=1), k0)
 
 
 def _order_cap(x_max: float, top: int) -> int:
@@ -474,13 +465,13 @@ def _phi_integrals(
 
 
 def _leg_integrand(f, p, k0: float, rel_tol: float, count: _Counter, leg: int, t):
-    """A leg's radial integrand at its variable t: kz*exp(i*kz*z)*Phi on the
-    propagating leg (t = kz), s*exp(-s*z)*Phi on the evanescent one (t = s,
-    kz = i*s), with Phi the azimuthal integral on the circle (_phi_integrals)."""
+    """A leg's radial integrand at its variable t (units of k0, p in 1/k0):
+    kz*exp(i*kz*z)*Phi on the propagating leg (t = kz), s*exp(-s*z)*Phi on the
+    evanescent one (t = s, kz = i*s), with Phi from _phi_integrals."""
     if leg == _PROP:
-        krho = np.sqrt(np.maximum(k0 * k0 - t * t, 0.0))
+        krho = np.sqrt(np.maximum(1.0 - t * t, 0.0))
         return t * np.exp(1j * t * p.z) * _phi_integrals(f, krho, t, p, k0, rel_tol, count)
-    krho = np.sqrt(k0 * k0 + t * t)
+    krho = np.sqrt(1.0 + t * t)
     return t * np.exp(-t * p.z) * _phi_integrals(f, krho, 1j * t, p, k0, rel_tol, count)
 
 
@@ -507,32 +498,28 @@ def _phase_span(rel_tol: float) -> float:
     return min(12.0, 2.0 * (rel_tol / (100.0 * _GAUSS_ERROR)) ** (0.5 / _GAUSS_NODES))
 
 
-def _evanescent_cutoff(
-    p: ObservationPoint, k0: float, cfg: QuadratureConfig
-) -> tuple[float, float]:
-    """Truncation point in s = sqrt(k_rho^2 - k0^2) where the decay drops
-    below rel_tol/10, and the cap on s set by cfg.k_max (inf if uncapped)."""
-    if cfg.k_max <= k0:
-        raise ConfigError(f"k_max must exceed k0, got k_max={cfg.k_max} with k0={k0}")
-    s_cap = math.sqrt((cfg.k_max - k0) * (cfg.k_max + k0))
-    s_max = min(math.log(10.0 / cfg.rel_tol) / p.z, s_cap)
-    # k_rho at the cutoff must stay finite (s_max is infinite for denormal z),
-    # and so must the 1/z^2 of the tail bound (z^2 underflows below ~1e-154,
-    # also when k_max keeps s_max finite)
-    z_sq = p.z * p.z
-    if not (math.isfinite(k0 * k0 + s_max * s_max) and z_sq > 0.0 and 1.0 / z_sq < math.inf):
+def _evanescent_cutoff(z: float, k_max: float, rel_tol: float) -> tuple[float, float]:
+    """Truncation point in s = sqrt(k_rho^2 - 1) where the decay drops below
+    rel_tol/10 at z = k0*p.z, and the cap on s set by k_max (inf if uncapped),
+    in units of k0."""
+    s_cap = math.sqrt((k_max - 1.0) * (k_max + 1.0))
+    s_max = min(math.log(10.0 / rel_tol) / z if z else math.inf, s_cap)
+    # k_rho at the cutoff (s_max is infinite for denormal z) and the 1/z^2 of
+    # the tail bound (z^2 underflows below ~1e-154) must stay finite
+    z_sq = z * z
+    if not (math.isfinite(1.0 + s_max * s_max) and z_sq > 0.0 and 1.0 / z_sq < math.inf):
         raise DomainError(
-            f"evanescent cutoff s = {s_max:.3g} is out of range at z = {p.z:g}: "
+            f"evanescent cutoff s = {s_max:.3g}*k0 is out of range at k0*z = {z:g}: "
             "the observation point is too close to the z = 0 plane for the oracle"
         )
     return s_max, s_cap
 
 
-def _check_bandwidth(p: ObservationPoint, k0: float, s_max: float) -> None:
-    """Refuse a cutoff whose widest ring, k_rho = sqrt(k0^2 + s_max^2), has
-    an azimuthal bandwidth k_rho*rho_xy beyond _MAX_PHI_BANDWIDTH; every
+def _check_bandwidth(p: ObservationPoint, s_max: float) -> None:
+    """Refuse a cutoff whose widest ring, k_rho = sqrt(1 + s_max^2), has an
+    azimuthal bandwidth k_rho*rho_xy beyond _MAX_PHI_BANDWIDTH; every
     radial row of both legs lies on or inside that ring."""
-    widest = math.sqrt(k0 * k0 + s_max * s_max) * p.rho_xy
+    widest = math.sqrt(1.0 + s_max * s_max) * p.rho_xy
     if not widest <= _MAX_PHI_BANDWIDTH:
         raise DomainError(
             f"azimuthal bandwidth k_rho*rho_xy = {widest:.3g} is beyond the "
@@ -542,13 +529,13 @@ def _check_bandwidth(p: ObservationPoint, k0: float, s_max: float) -> None:
 
 def _tail_bound(f, p, k0, s_max, count) -> float:
     """Upper bound on the discarded evanescent tail beyond s_max:
-    2*pi * max|f| * exp(-s_max*z) * ((s_max + k0)/z + 1/z^2), with max|f|
+    2*pi * max|f| * exp(-s_max*z) * ((s_max + 1)/z + 1/z^2), with max|f|
     probed on an 8 x 8 grid of s and phi."""
     probe_s = np.linspace(s_max, s_max * 1.5 + 1.0, 8)
-    krho = np.sqrt(k0 * k0 + probe_s**2)
+    krho = np.sqrt(1.0 + probe_s**2)
     fmax = float(np.max(np.abs(_ring_values(f, krho, 1j * probe_s, k0, 8, 0.0, count))))
     z = p.z
-    return 2.0 * math.pi * fmax * math.exp(-s_max * z) * ((s_max + k0) / z + 1.0 / (z * z))
+    return 2.0 * math.pi * fmax * math.exp(-s_max * z) * ((s_max + 1.0) / z + 1.0 / (z * z))
 
 
 # a spectrum's values may overflow the sums: a round whose sums are not
@@ -563,7 +550,8 @@ def oracle_eval(
     """Evaluate the full-plane spectral integral at observation point p.
 
     Returns the value with the propagating/evanescent split (the value is
-    their exact sum), an error estimate, and the evaluation count.  If a
+    their exact sum), an error estimate, and the evaluation count, all
+    from a quadrature in units of k0, the same for every k0 at one k0*p.  If a
     limit stops the run before ``est_error <= rel_tol * |value|`` (the
     panel budget, the k_max cap, the rounding floor of the panel errors,
     or the azimuthal node cap, which sets ``est_error`` inf) the last value
@@ -572,7 +560,8 @@ def oracle_eval(
     :class:`~asx.errors.DivergenceError`, and a value or error estimate that
     is not finite (a spectrum large enough to overflow the sums) raises
     :class:`~asx.errors.SpectrumEvaluationError`.  ``k0*r`` above
-    ``ORACLE_K0R_ENVELOPE`` is a :class:`~asx.errors.ConfigError`.
+    ``ORACLE_K0R_ENVELOPE`` is a :class:`~asx.errors.ConfigError`, a value
+    that overflows once scaled a :class:`~asx.errors.DomainError`.
     """
     cfg = cfg or QuadratureConfig()
     require_positive("k0", k0)
@@ -584,14 +573,17 @@ def oracle_eval(
             f"k0*r = {k0r:g} is outside the oracle's desk-scale envelope "
             f"k0*r <= {ORACLE_K0R_ENVELOPE:g}"
         )
-    s_max, s_cap = _evanescent_cutoff(p, k0, cfg)
-    _check_bandwidth(p, k0, s_max)
+    if cfg.k_max <= k0:
+        raise ConfigError(f"k_max must exceed k0, got k_max={cfg.k_max} with k0={k0}")
+    s_max, s_cap = _evanescent_cutoff(k0 * p.z, cfg.k_max / k0, cfg.rel_tol)
+    q = ObservationPoint(k0 * p.x, k0 * p.y, k0 * p.z)  # the cutoff refused k0*z = 0
+    _check_bandwidth(q, s_max)
     count = _Counter()
     # worst-first; on equal errors the propagating leg, then the left edge
     heap: list[tuple[float, int, float, float, complex]] = []
 
     def push(leg: int, lo: np.ndarray, hi: np.ndarray):  # panels [lo[i], hi[i]] of a leg
-        h = functools.partial(_leg_integrand, f, p, k0, cfg.rel_tol, count, leg)
+        h = functools.partial(_leg_integrand, f, q, k0, cfg.rel_tol, count, leg)
         for start in range(0, lo.size, _PANEL_BATCH):
             a, b = lo[start : start + _PANEL_BATCH], hi[start : start + _PANEL_BATCH]
             fine, errors = _panels(h, a, b)
@@ -599,23 +591,23 @@ def oracle_eval(
             for entry in entries:
                 heapq.heappush(heap, entry)
 
-    values, total, best_err, limit = [0j, 0j], 0j, math.inf, ""
+    values, best_err, limit = [0j, 0j], math.inf, ""
     try:
         # initial panels span _phase_span(rel_tol) of phase each: uniform in s
         # on the evanescent leg, whose phase is rho*s, and on the propagating
-        # leg uniform in the polar angle a (kz = k0*cos(a)), from exactly 0 to
-        # k0, as the phase k0*(z*cos(a) +- rho*sin(a)) moves at most k0r a
-        # radian of a, while in kz the J0 argument rho*sqrt(k0^2 - kz^2)
-        # speeds up without bound as kz -> k0
+        # leg uniform in the polar angle a (kz = cos(a)), from exactly 0 to 1,
+        # as the phase z*cos(a) +- rho*sin(a) moves at most k0r a radian of
+        # a, while in kz the J0 argument rho*sqrt(1 - kz^2) speeds up without
+        # bound as kz -> 1
         span = _phase_span(cfg.rel_tol)
-        for leg, phase in ((_PROP, k0r * math.pi / 2.0), (_EVAN, p.rho_xy * s_max)):
+        for leg, phase in ((_PROP, q.r * math.pi / 2.0), (_EVAN, q.rho_xy * s_max)):
             n = max(8, min(math.ceil(phase / span), cfg.max_panels // 4))
             if leg == _PROP:
-                edges = k0 * np.sin(np.linspace(0.0, 0.5 * math.pi, n + 1))
+                edges = np.sin(np.linspace(0.0, 0.5 * math.pi, n + 1))
             else:
                 edges = np.linspace(0.0, s_max, n + 1)
             push(leg, edges[:-1], edges[1:])
-        tail = _tail_bound(f, p, k0, s_max, count)
+        tail = _tail_bound(f, q, k0, s_max, count)
         while True:
             # per leg, panels left to right: the sums depend on the panel set only
             values, errors = [0.0 + 0.0j, 0.0 + 0.0j], [0.0, 0.0]
@@ -630,7 +622,7 @@ def oracle_eval(
                     f"value {total} with error estimate {err}"
                 )
             best_err = min(best_err, err)
-            if err <= cfg.rel_tol * abs(total) or err < 1e-300:
+            if err <= cfg.rel_tol * abs(total):
                 break
             if len(heap) >= cfg.max_panels:
                 limit = f"the radial panel budget max_panels={cfg.max_panels}"
@@ -643,14 +635,14 @@ def oracle_eval(
             # When the truncation bound dominates, pushing s_max out is the only
             # move that helps; each extension drops the bound a hundredfold.
             if tail >= 0.5 * err:
-                edges = np.linspace(s_max, s_max + math.log(100.0) / p.z, 5)
+                edges = np.linspace(s_max, s_max + math.log(100.0) / q.z, 5)
                 if edges[-1] > s_cap:
                     limit = f"the evanescent cap k_max={cfg.k_max:g}"
                     break
-                _check_bandwidth(p, k0, edges[-1])
+                _check_bandwidth(q, edges[-1])
                 push(_EVAN, edges[:-1], edges[1:])
                 s_max = float(edges[-1])
-                tail = _tail_bound(f, p, k0, s_max, count)
+                tail = _tail_bound(f, q, k0, s_max, count)
                 continue
             if -heap[0][0] <= 1e-16 * abs(total):
                 limit = "the rounding floor of the radial panel errors"
@@ -669,11 +661,14 @@ def oracle_eval(
     except _RingCapped as cap:
         err, limit = math.inf, str(cap)
 
+    prop, evan = k0 * (k0 * values[_PROP]), k0 * (k0 * values[_EVAN])  # dkx*dky
+    if not cmath.isfinite(prop + evan):
+        raise DomainError(f"oracle value overflows at k0 = {k0:g}, r = {p.r:g}")
     return OracleResult(
-        value=total,
-        est_error=err,
+        value=prop + evan,
+        est_error=k0 * (k0 * err),
         evaluations=count.n,
-        propagating_part=values[_PROP],
-        evanescent_part=values[_EVAN],
+        propagating_part=prop,
+        evanescent_part=evan,
         limit=limit,
     )

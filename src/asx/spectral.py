@@ -89,7 +89,8 @@ class SaddleData:
 def kz_branch(kx, ky, k0):
     """Longitudinal wavenumber on the top Riemann sheet.
 
-    The principal square root of ``k0^2 - kx^2 - ky^2``.  For real
+    ``k0*sqrt(1 - (kx/k0)^2 - (ky/k0)^2)``, the principal root in units of
+    k0, so that no ``k0^2`` leaves the floating-point range.  For real
     ``(kx, ky)`` that is the branch ``Im(kz) >= 0``: real nonnegative inside
     the circle ``kx^2 + ky^2 <= k0^2`` and purely imaginary with positive
     imaginary part outside.  For complex arguments (points of the
@@ -100,9 +101,8 @@ def kz_branch(kx, ky, k0):
     returned as-is; callers handle it.
     """
     require_positive("k0", k0)
-    kx = np.asarray(kx)
-    ky = np.asarray(ky)
-    kz = np.sqrt(np.asarray(k0 * k0 - kx * kx - ky * ky, dtype=complex))
+    ux, uy = np.asarray(kx) / k0, np.asarray(ky) / k0
+    kz = k0 * np.sqrt(np.asarray(1.0 - ux * ux - uy * uy, dtype=complex))
     if kz.ndim == 0:
         return complex(kz)
     return kz

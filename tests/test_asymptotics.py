@@ -237,6 +237,15 @@ class TestLocalSdpIntegral:
         exact = spherical_wave(p, 1.0)
         assert abs(refined - exact) / abs(exact) < 0.02
 
+    @pytest.mark.parametrize("j", [-900, -600, 600, 900])
+    def test_a_power_of_two_in_k0_scales_the_value_exactly(self, j):
+        # the measure takes one kzs at a time: kzs^2 alone would leave the
+        # floating-point range
+        base = local_sdp_integral(weyl(), ObservationPoint(30, 40, 50), 1.0)
+        k0 = 2.0**j
+        value = local_sdp_integral(weyl(), ObservationPoint(30 / k0, 40 / k0, 50 / k0), k0)
+        assert repr(value) == repr(k0 * base)
+
     def test_rejects_too_few_nodes(self):
         with pytest.raises(ConfigError):
             local_sdp_integral(weyl(), ObservationPoint(0, 0, 50), 1.0, n=8)

@@ -307,6 +307,18 @@ class TestCompare:
         for row in csv_rows(out):
             assert row["rel_error"] < 1e-10
 
+    def test_weyl_is_exact_at_a_tiny_k0(self, capsys):
+        # k0 = 1e-300: k0^2 underflows, the oracle's units of k0 do not
+        code, out, _ = run_main(
+            capsys,
+            "compare --spectrum weyl --theta 0.5 --k0r-grid 20:300:4 --k0 1e-300".split(),
+        )
+        assert code == 0
+        rows = csv_rows(out)
+        assert len(rows) == 4
+        for row in rows:
+            assert row["rel_error"] < 1e-8
+
     def test_single_point_grid_exits_2(self, capsys):
         code, _, err = run_main(
             capsys,
@@ -413,6 +425,19 @@ class TestParseCheck:
         code, _, err = run_main(capsys, ["parse-check"])
         assert code == 2
 
+    def test_a_tree_deeper_than_the_limit_reports_a_column(self, capsys):
+        # 200 nested parentheses: the 101st is refused, with no traceback;
+        # 99 of them pass
+        deep = "(" * 200 + "kx" + ")" * 200
+        code, out, _ = run_main(capsys, ["parse-check", "--spectrum-expr", deep])
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["ok"] is False
+        assert "nested deeper than 100 levels" in payload["error"]
+        assert payload["position"] == 101
+        code, out, _ = run_main(capsys, ["parse-check", "--spectrum-expr", deep[101:-101]])
+        assert code == 0 and json.loads(out)["normalized"] == "kx"
+
 
 class TestOutputFile:
     def test_out_writes_to_path(self, tmp_path, capsys):
@@ -490,6 +515,10 @@ BAD_INPUTS = [
     ("oracle --spectrum weyl --point 3,0,1e-160 --kmax 2", 3, 0),
     ("oracle --spectrum weyl --point 3,0,4 --kmax 1e200", 0, 1),
     ("oracle --spectrum weyl --point 3,0,4 --kmax -1", 2, 0),
+    # the oracle works in units of k0: k0^2 = 1e320 is never formed
+    ("oracle --spectrum weyl --k0 1e160 --point 3e-160,0,4e-160", 0, 1),
+    # k0^2 times the integral of the constant spectrum overflows
+    ("oracle --spectrum constant --k0 1e200 --point 0,0,1e-199", 3, 0),
     # the azimuthal bandwidth at the initial cutoff is refused before any panel
     ("oracle --spectrum weyl --point 3,0,1e-4", 3, 0),
     ("compare --spectrum constant --theta 0.8 --k0r-grid 20:x:4", 2, 0),
@@ -519,6 +548,10 @@ BAD_INPUTS = [
     ("oracle --spectrum-expr 1e307*kz --point 1,0,5", 4, 0),
     # a literal beyond the largest float is a parse error
     ("eval --spectrum-expr 1e999*kx --point 1,1,1", 2, 0),
+    # so is a tree nested deeper than 100 levels: 200 nested calls, a
+    # 1000-term sum
+    pytest.param(f"eval --spectrum-expr {'exp(' * 200}kx{')' * 200} --point 3,0,4", 2, 0, id="calls"),
+    pytest.param(f"eval --spectrum-expr {'+'.join(['kx'] * 1000)} --point 3,0,4", 2, 0, id="sum"),
 ]
 
 

@@ -771,6 +771,35 @@ class TestJacobiAngerPath:
         assert res.evaluations == base.evaluations
 
 
+class TestUnitsOfK0:
+    """The quadrature runs in units of k0: at (2^j*k0, p/2^j) it makes the
+    same decisions and returns 2^j times the value and est_error, bit for
+    bit, where k0^2 would leave the floating-point range."""
+
+    @pytest.mark.parametrize("j", [-900, -600, 600, 900])
+    @pytest.mark.parametrize("src", [None, "i/(2*pi*kz)*exp(-1.5*i*kx/k0 + 0.75*i*ky/k0)"])
+    def test_a_power_of_two_in_k0_scales_the_result_exactly(self, src, j):
+        from asx import parse_spectrum
+
+        f = weyl() if src is None else parse_spectrum(src)
+        base = oracle_eval(f, ObservationPoint(3, 4, 5), 1.0)
+        k0 = 2.0**j
+        res = oracle_eval(f, ObservationPoint(3 / k0, 4 / k0, 5 / k0), k0)
+        assert base.converged and res.converged
+        assert res.evaluations == base.evaluations
+        assert repr(res.value) == repr(k0 * base.value)
+        assert repr(res.est_error) == repr(k0 * base.est_error)
+
+    def test_a_tiny_spectrum_is_not_stopped_by_an_absolute_floor(self):
+        # converged means est_error <= rel_tol*|value| at any scale of f
+        from asx import parse_spectrum
+
+        res = oracle_eval(parse_spectrum("1e-300*(kx+1)"), ObservationPoint(3, 4, 5), 1.0)
+        assert res.converged
+        assert res.est_error <= 1e-7 * abs(res.value)
+        assert res.evaluations == 27_008
+
+
 def leg_integrands(f, p, count):
     """oracle_eval's two leg integrands at k0 = 1, in kz and in s, each with
     edges of panels on it."""
@@ -927,12 +956,13 @@ class TestInitialPanels:
         k0 = 2.0
         p = ObservationPoint(30.0, 20.0, 40.0)  # k0r = 2*sqrt(2900), about 107.7
         oracle_eval(weyl(), p, k0, QuadratureConfig(rel_tol=rel_tol))
+        # the panels' edges are kz in units of k0: from exactly 0 to exactly 1
         lo, hi = first[0]
         n = math.ceil(k0 * p.r * (math.pi / 2) / _phase_span(rel_tol))
         assert n > 8 and lo.size == n
-        assert lo[0] == 0.0 and hi[-1] == k0
+        assert lo[0] == 0.0 and hi[-1] == 1.0
         assert np.array_equal(lo[1:], hi[:-1])
-        assert_allclose(hi, k0 * np.sin(np.pi * np.arange(1, n + 1) / (2 * n)), rtol=1e-15)
+        assert_allclose(hi, np.sin(np.pi * np.arange(1, n + 1) / (2 * n)), rtol=1e-15)
 
     @pytest.mark.parametrize("rel_tol", [1e-4, 1e-7, 1e-11])
     def test_the_gauss_rule_meets_its_share_over_the_span(self, rel_tol):

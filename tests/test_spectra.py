@@ -8,12 +8,15 @@ from numpy.testing import assert_allclose
 
 from asx import (
     ConfigError,
+    ObservationPoint,
+    QuadratureConfig,
     SpectrumEvaluationError,
     SpectrumParseError,
     builtin_spectrum,
     constant,
     expr,
     gaussian,
+    oracle_eval,
     parse_spectrum,
     weyl,
 )
@@ -257,6 +260,28 @@ class TestErrorReporting:
     def test_static_zero_denominator_rejected(self):
         with pytest.raises(SpectrumParseError, match="zero"):
             parse_spectrum("kx/0")
+
+    # trees of exactly 100 levels, one per way of nesting: groups, calls,
+    # signs, a sum's terms, powers; each with one level more beside it
+    DEEPEST = [
+        ("(" * 99 + "kx" + ")" * 99, "(" * 100 + "kx" + ")" * 100),
+        ("cos(" * 99 + "kx" + ")" * 99, "cos(" * 100 + "kx" + ")" * 100),
+        ("-" * 99 + "kx", "-" * 100 + "kx"),
+        ("+".join(["kx"] * 100), "+".join(["kx"] * 101)),
+        ("kx" + "^1" * 99, "kx" + "^1" * 100),
+    ]
+
+    @pytest.mark.parametrize("src, deeper", DEEPEST, ids=["group", "call", "sign", "sum", "power"])
+    def test_the_deepest_accepted_trees_run_through_the_oracle(self, src, deeper):
+        # every accepted tree formats (the label), takes the radial test and
+        # evaluates inside oracle_eval under Python's default recursion limit
+        f = parse_spectrum(src)
+        assert not f.radial and f.label
+        res = oracle_eval(f, ObservationPoint(3, 4, 5), 1.0, QuadratureConfig(rel_tol=1e-2))
+        assert math.isfinite(res.est_error)
+        with pytest.raises(SpectrumParseError, match="nested deeper than 100 levels") as info:
+            parse_spectrum(deeper)
+        assert 1 <= info.value.position <= len(deeper)
 
     def test_fuzz_corpus_never_crashes(self):
         rng = np.random.default_rng(61)
