@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,16 +127,21 @@ def leading_order(
     populates the validity fields.  The value is computed regardless of
     whether ``theta > theta0`` holds; callers read ``is_valid`` and
     ``validity_margin``.  A value that overflows the floating-point range
-    (for example at r near the origin) is a :class:`~asx.errors.DomainError`.
+    (for example at r near the origin), or a nonzero one that falls below the
+    smallest normal float, is a :class:`~asx.errors.DomainError`.
     """
     s = saddle_point(p, k0)
     fs = f.evaluate(s.kxs, s.kys, s.kzs, k0)
     theta = p.theta
     with np.errstate(all="ignore"):
         value = complex(-2j * math.pi * k0 * theta * fs * np.exp(1j * s.k0r) / p.r)
-    if not cmath.isfinite(value):
+    # a value below the smallest normal float keeps too few bits, unless
+    # f(saddle) = 0 makes it an exact 0
+    underflow = fs != 0 and abs(value) < sys.float_info.min
+    if underflow or not cmath.isfinite(value):
+        word = "underflows" if underflow else "overflows"
         raise DomainError(
-            f"leading-order value overflows at k0 = {k0:g}, r = {p.r:g}: the "
+            f"leading-order value {word} at k0 = {k0:g}, r = {p.r:g}: the "
             "point is outside the floating-point range of the closed form"
         )
     return AsymptoticResult(

@@ -305,8 +305,9 @@ def format_expression(node: Node) -> str:
         return f"-{inner}"
     if isinstance(node, Power):
         base = format_expression(node.base)
-        # power binds tightest, so any structured base needs parentheses
-        if _prec(node.base) < _PREC["atom"]:
+        # power binds tightest and chains to the left, so a base needs
+        # parentheses unless it is an atom or a power itself
+        if _prec(node.base) < _PREC["^"]:
             base = f"({base})"
         return f"{base}^{node.exponent}"
     if isinstance(node, Call):

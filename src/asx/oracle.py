@@ -12,7 +12,9 @@ design optimizes for controlled error rather than speed:
   turns the 1/kz Weyl-type singularity into a smooth integrand;
 * the evanescent leg is kz = i*s with s = sqrt(k_rho^2 - 1), so the
   weight becomes exp(-s*z) and the truncation point s_max is chosen where
-  exp(-s*z) < rel_tol/10, provably below the accuracy target;
+  exp(-s*z) < rel_tol/100; the tail beyond it is bounded by the probed
+  max|f|, times J0's envelope sqrt(2/(pi*k_rho*rho_xy)) for a radial
+  spectrum off axis;
 * the azimuthal integral is a Bessel sum by the Jacobi-Anger expansion,
   2*pi*sum_m c_m*i^m*J_m(k_rho*rho_xy)*exp(i*m*phi0) with phi0 the azimuth
   of the point and c_m the Fourier coefficients of f alone on the circle
@@ -61,6 +63,7 @@ import cmath
 import functools
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -500,10 +503,10 @@ def _phase_span(rel_tol: float) -> float:
 
 def _evanescent_cutoff(z: float, k_max: float, rel_tol: float) -> tuple[float, float]:
     """Truncation point in s = sqrt(k_rho^2 - 1) where the decay drops below
-    rel_tol/10 at z = k0*p.z, and the cap on s set by k_max (inf if uncapped),
+    rel_tol/100 at z = k0*p.z, and the cap on s set by k_max (inf if uncapped),
     in units of k0."""
     s_cap = math.sqrt((k_max - 1.0) * (k_max + 1.0))
-    s_max = min(math.log(10.0 / rel_tol) / z if z else math.inf, s_cap)
+    s_max = min(math.log(100.0 / rel_tol) / z if z else math.inf, s_cap)
     # k_rho at the cutoff (s_max is infinite for denormal z) and the 1/z^2 of
     # the tail bound (z^2 underflows below ~1e-154) must stay finite
     z_sq = z * z
@@ -529,11 +532,17 @@ def _check_bandwidth(p: ObservationPoint, s_max: float) -> None:
 
 def _tail_bound(f, p, k0, s_max, count) -> float:
     """Upper bound on the discarded evanescent tail beyond s_max:
-    2*pi * max|f| * exp(-s_max*z) * ((s_max + 1)/z + 1/z^2), with max|f|
-    probed on an 8 x 8 grid of s and phi."""
+    2*pi * max|f| * b * exp(-s_max*z) * ((s_max + 1)/z + 1/z^2), with max|f|
+    probed on an 8 x 8 grid of s and phi.  b bounds |J0| along the tail: a
+    radial spectrum's Phi is 2*pi*f*J0(k_rho*rho_xy), |J0(x)| < sqrt(2/(pi*x))
+    for x > 0 (Watson, Theory of Bessel Functions, 13.74) and k_rho >=
+    sqrt(1 + s_max^2) there, so b = min(1, sqrt(2/(pi*sqrt(1 + s_max^2)*rho_xy)));
+    b = 1 for any other spectrum and on axis."""
     probe_s = np.linspace(s_max, s_max * 1.5 + 1.0, 8)
     krho = np.sqrt(1.0 + probe_s**2)
     fmax = float(np.max(np.abs(_ring_values(f, krho, 1j * probe_s, k0, 8, 0.0, count))))
+    if f.radial and p.rho_xy > 0.0:
+        fmax *= min(1.0, math.sqrt(2.0 / (math.pi * float(krho[0]) * p.rho_xy)))
     z = p.z
     return 2.0 * math.pi * fmax * math.exp(-s_max * z) * ((s_max + 1.0) / z + 1.0 / (z * z))
 
@@ -561,7 +570,8 @@ def oracle_eval(
     is not finite (a spectrum large enough to overflow the sums) raises
     :class:`~asx.errors.SpectrumEvaluationError`.  ``k0*r`` above
     ``ORACLE_K0R_ENVELOPE`` is a :class:`~asx.errors.ConfigError`, a value
-    that overflows once scaled a :class:`~asx.errors.DomainError`.
+    that overflows once scaled, or a nonzero one that falls below the smallest
+    normal float, a :class:`~asx.errors.DomainError`.
     """
     cfg = cfg or QuadratureConfig()
     require_positive("k0", k0)
@@ -664,6 +674,9 @@ def oracle_eval(
     prop, evan = k0 * (k0 * values[_PROP]), k0 * (k0 * values[_EVAN])  # dkx*dky
     if not cmath.isfinite(prop + evan):
         raise DomainError(f"oracle value overflows at k0 = {k0:g}, r = {p.r:g}")
+    # a nonzero value scaled below the smallest normal float keeps too few bits
+    if abs(prop + evan) < sys.float_info.min and values[_PROP] + values[_EVAN]:
+        raise DomainError(f"oracle value underflows at k0 = {k0:g}, r = {p.r:g}")
     return OracleResult(
         value=prop + evan,
         est_error=k0 * (k0 * err),

@@ -18,6 +18,7 @@ user spectra; the oracle's divergence detection is the backstop.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass, field
@@ -61,6 +62,12 @@ class SpectrumFunction:
         with np.errstate(all="ignore"):
             out = self._fn(kx, ky, kz, k0)
         shape = np.shape(kx)
+        # scalar arguments with a scalar value need no numpy array
+        if not (shape or np.shape(ky) or np.shape(kz) or np.shape(out)):
+            value = complex(out)
+            if not cmath.isfinite(value):
+                raise self._non_finite()
+            return value
         # the oracle's calls pass arrays of one shape and get a complex array
         # of that shape back, which needs no broadcast or conversion
         if not (
@@ -71,12 +78,11 @@ class SpectrumFunction:
             shape = np.broadcast_shapes(shape, np.shape(ky), np.shape(kz))
             out = np.broadcast_to(np.asarray(out, dtype=complex), shape)
         if not np.isfinite(out).all():
-            raise SpectrumEvaluationError(
-                f"spectrum {self.label!r} produced a non-finite value"
-            )
-        if not shape:
-            return complex(out)
+            raise self._non_finite()
         return out
+
+    def _non_finite(self) -> SpectrumEvaluationError:
+        return SpectrumEvaluationError(f"spectrum {self.label!r} produced a non-finite value")
 
 
 def _weyl_fn(kx, ky, kz, k0):

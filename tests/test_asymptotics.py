@@ -192,6 +192,17 @@ class TestLeadingOrder:
             p = ObservationPoint(rho * math.cos(phi), rho * math.sin(phi), z)
             assert_allclose(leading_order(f, p, 1.0).value, reference, rtol=1e-12)
 
+    def test_a_value_that_underflows_is_refused(self):
+        # -2*pi*i*k0*theta*f/r is subnormal for the constant at k0 = 1e-160,
+        # k0*r = 20; weyl's exp(i*k0*r)/r is not, and a zero f gives an
+        # exact 0
+        p = ObservationPoint(0, 0, 2e161)
+        with pytest.raises(DomainError, match="underflows"):
+            leading_order(constant(), p, 1e-160)
+        assert abs(leading_order(weyl(), p, 1e-160).value) == pytest.approx(0.5e-161)
+        zero = SpectrumFunction(label="zero", radial=True, _fn=lambda kx, ky, kz, k0: 0.0)
+        assert leading_order(zero, p, 1e-160).value == 0
+
     def test_below_gate_is_flagged_not_refused(self):
         p = ObservationPoint(99.9, 0, math.sqrt(100**2 - 99.9**2))
         res = leading_order(constant(), p, 1.0)  # theta ~ 0.045 < theta0 = 0.1

@@ -519,6 +519,9 @@ BAD_INPUTS = [
     ("oracle --spectrum weyl --k0 1e160 --point 3e-160,0,4e-160", 0, 1),
     # k0^2 times the integral of the constant spectrum overflows
     ("oracle --spectrum constant --k0 1e200 --point 0,0,1e-199", 3, 0),
+    # k0^2 times the constant's integral, and the closed form, underflow
+    ("oracle --spectrum constant --k0 1e-160 --point 0,0,2e161", 3, 0),
+    ("eval --spectrum constant --k0 1e-160 --point 0,0,2e161", 3, 0),
     # the azimuthal bandwidth at the initial cutoff is refused before any panel
     ("oracle --spectrum weyl --point 3,0,1e-4", 3, 0),
     ("compare --spectrum constant --theta 0.8 --k0r-grid 20:x:4", 2, 0),

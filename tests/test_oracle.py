@@ -433,23 +433,23 @@ class TestAzimuthalPaths:
         assert max(radial) > _BLOCK_ELEMENTS // 2
 
     def test_panels_are_evaluated_in_batches(self):
-        # weyl at k0r = 50, theta = theta0: a leg's initial panels (8 and
-        # 12, of about 11.1 rad of phase each), each tail extension (here
-        # one, of 4 panels) and each round of splits take one spectrum call,
-        # with 21 rows a panel, beside the 64 elements of each tail probe
-        # (one panel a call took 52 calls)
+        # the constant spectrum at k0r = 20, theta = 0.3*theta0: a leg's
+        # initial panels (8 and 28, of about 11.1 rad of phase each), each
+        # tail extension (here one, of 4 panels) and each round of splits
+        # take one spectrum call, with 21 rows a panel, beside the 64
+        # elements of each tail probe (one panel a call took 52 calls)
         from asx import point_from_parameters
 
         calls = []
 
         def recording(kx, ky, kz, k0):
             calls.append(np.size(kx))
-            return weyl().evaluate(kx, ky, kz, k0)
+            return constant().evaluate(kx, ky, kz, k0)
 
         probe = SpectrumFunction(label="probe", radial=True, _fn=recording)
-        res = oracle_eval(probe, point_from_parameters(1 / math.sqrt(50), 50.0, 1.0), 1.0)
+        res = oracle_eval(probe, point_from_parameters(0.3 / math.sqrt(20), 20.0, 1.0), 1.0)
         assert res.converged
-        assert res.evaluations == sum(calls) == 21 * (8 + 12 + 4) + 2 * 64
+        assert res.evaluations == sum(calls) == 21 * (8 + 28 + 4) + 2 * 64
         assert len(calls) <= 8
 
     def test_azimuthal_cap_stops_the_radial_refinement(self):
@@ -470,21 +470,26 @@ class TestAzimuthalPaths:
         assert res.evaluations == below + _MAX_PHI_NODES - _BLOCK_ELEMENTS
 
     def test_late_cap_keeps_the_last_sums(self, monkeypatch):
-        # at rel_tol 1e-10 the rings of the translated Weyl grow with k_rho,
-        # and a 512-node cap is first reached in a tail extension, after
-        # the initial panels were summed: the run keeps the last sums (here
-        # within 1e-6 of exact) and says that no bound holds
+        # at rel_tol 1e-10 the rings of a translated constant grow with
+        # k_rho, and a 512-node cap is first reached in a tail extension,
+        # beyond the initial cutoff, after the initial panels were summed:
+        # the run keeps the last sums (here within 1e-6 of the constant's
+        # closed form about (1.5, -0.75, 0)) and says that no bound holds
         from asx import oracle, parse_spectrum
 
         monkeypatch.setattr(oracle, "_MAX_PHI_NODES", 512)
-        p = ObservationPoint(10, 0, 0.5)
-        res = oracle_eval(parse_spectrum(TRANSLATED_WEYL), p, 1.0, QuadratureConfig(rel_tol=1e-10))
+        p = ObservationPoint(10, 0, 0.6)
+        f = parse_spectrum("exp(-1.5*i*kx + 0.75*i*ky)")
+        res = oracle_eval(f, p, 1.0, QuadratureConfig(rel_tol=1e-10))
         assert not res.converged
         assert res.limit.startswith("the 512-node azimuthal cap at k_rho = ")
+        initial = math.hypot(1.0, math.log(100.0 / 1e-10) / p.z)
+        assert float(res.limit.rsplit(" ", 1)[1]) > initial
         assert res.est_error == math.inf
         assert res.value != 0
         assert res.value == res.propagating_part + res.evanescent_part
-        assert abs(res.value - translated_wave(p)) <= 1e-6 * abs(translated_wave(p))
+        exact = constant_closed_form(ObservationPoint(p.x - 1.5, p.y + 0.75, p.z))
+        assert abs(res.value - exact) <= 1e-6 * abs(exact)
 
     @pytest.mark.parametrize("point", [(0, 0, 5), (0.3, 0.4, 5)], ids=["axis", "off-axis"])
     @pytest.mark.parametrize(
@@ -797,7 +802,19 @@ class TestUnitsOfK0:
         res = oracle_eval(parse_spectrum("1e-300*(kx+1)"), ObservationPoint(3, 4, 5), 1.0)
         assert res.converged
         assert res.est_error <= 1e-7 * abs(res.value)
-        assert res.evaluations == 27_008
+        assert res.evaluations == 21_568  # as kx+1 takes
+
+    @pytest.mark.parametrize("k0", [1e-160, 2.0**-540])
+    def test_a_value_that_underflows_once_scaled_is_refused(self, k0):
+        # the constant's value in units of k0 is about 0.3 at k0*z = 20,
+        # and k0^2 times it is subnormal (1e-160) or 0 (2^-540): too few
+        # bits to return as converged
+        from asx import DomainError
+
+        with pytest.raises(DomainError, match="underflows"):
+            oracle_eval(constant(), ObservationPoint(0, 0, 20 / k0), k0)
+        # weyl's 1/kz keeps the value k0 times its units, a normal float
+        assert oracle_eval(weyl(), ObservationPoint(0, 0, 20 / k0), k0).converged
 
 
 def leg_integrands(f, p, count):
@@ -1051,3 +1068,65 @@ class TestBranchConsistency:
         for s in np.linspace(0.1, 3.0, 7):
             krho = math.sqrt(k0 * k0 + s * s)
             assert_allclose(kz_branch(krho, 0.0, k0), 1j * s, rtol=1e-12)
+
+
+# the perfbench grazing geometry: (k0r, theta/theta0)
+GRAZING_CELLS = [(50.0, 1.0), (30.0, 0.6), (20.0, 0.3)]
+
+
+class TestTailBound:
+    """The evanescent tail is cut where exp(-s*k0z) = rel_tol/100 and, for a
+    radial spectrum off axis, bounded with J0's envelope."""
+
+    def test_j0_stays_below_its_envelope(self):
+        # |J0(x)| < sqrt(2/(pi*x)) for x > 0 (Watson, 13.74), the factor
+        # _tail_bound takes; sup sqrt(x)*|J0(x)| creeps up to sqrt(2/pi)
+        from scipy.special import j0
+
+        x = np.concatenate(
+            (np.linspace(0.0, 2e5, 2_000_001)[1:], np.geomspace(1e-12, 2e5, 100_001))
+        )
+        assert np.max(np.sqrt(x) * np.abs(j0(x))) < math.sqrt(2.0 / math.pi)
+
+    @pytest.mark.parametrize("k0r, share", GRAZING_CELLS)
+    def test_grazing_weyl_needs_no_tail_extension(self, k0r, share, monkeypatch):
+        # one tail probe: the initial cutoff and the envelope close the
+        # tail, and the true error against the spherical wave stays within
+        # est_error
+        from asx import oracle, point_from_parameters
+
+        original, bounds = oracle._tail_bound, []
+
+        def counting(*args):
+            bounds.append(original(*args))
+            return bounds[-1]
+
+        monkeypatch.setattr(oracle, "_tail_bound", counting)
+        p = point_from_parameters(share / math.sqrt(k0r), k0r, 1.0, 0.4)
+        res = oracle_eval(weyl(), p, 1.0)
+        assert res.converged
+        assert len(bounds) == 1
+        assert abs(res.value - spherical_wave(p)) <= res.est_error
+
+    @pytest.mark.parametrize("point", [(3, 4, 5), (0, 0, 5)], ids=["off-axis", "axis"])
+    @pytest.mark.parametrize("spectrum", ["weyl", TRANSLATED_WEYL], ids=["radial", "ring"])
+    def test_only_a_radial_spectrum_off_axis_takes_the_envelope(self, spectrum, point):
+        # the bound written out: max|f| on the 8 x 8 probe grid of s and
+        # phi, times sqrt(2/(pi*k_rho(s_max)*rho)) for weyl off axis and 1
+        # for the translated Weyl and on axis
+        from asx import parse_spectrum
+        from asx.oracle import _Counter, _tail_bound
+
+        f = weyl() if spectrum == "weyl" else parse_spectrum(spectrum)
+        p = ObservationPoint(*point)
+        s_max = math.log(100.0 / 1e-7) / p.z
+        s = np.linspace(s_max, 1.5 * s_max + 1.0, 8)[:, None]
+        phi = 2.0 * math.pi * np.arange(8) / 8.0
+        krho = np.sqrt(1.0 + s * s)
+        fmax = np.max(np.abs(f.evaluate(krho * np.cos(phi), krho * np.sin(phi), 1j * s, 1.0)))
+        factor = 1.0
+        if f.radial and p.rho_xy > 0.0:
+            factor = min(1.0, math.sqrt(2.0 / (math.pi * math.hypot(1.0, s_max) * p.rho_xy)))
+            assert factor < 0.2
+        expected = 2 * math.pi * fmax * factor * math.exp(-s_max * p.z) * ((s_max + 1) / p.z + 1 / p.z**2)
+        assert _tail_bound(f, p, 1.0, s_max, _Counter()) == pytest.approx(expected, rel=1e-14)

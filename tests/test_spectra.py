@@ -198,6 +198,27 @@ class TestRoundTrip:
         assert a == b
 
 
+class TestPowerChains:
+    """^ groups to the left in the grammar, so a chain formats as it reads."""
+
+    def test_a_chain_formats_as_itself(self):
+        from asx.expr import format_expression, parse_expression
+
+        for src in ("kx^1^1", "kx^-1^2", "(kx+1)^2^-3", "(-kz)^-2^-1", "2^3^-1"):
+            assert format_expression(parse_expression(src)) == src
+
+    def test_the_label_of_a_long_chain_parses_back(self):
+        f = parse_spectrum("kx" + "^1" * 60)
+        assert parse_spectrum(f.label).label == f.label
+
+    @given(st.lists(st.integers(-4, 4), min_size=1, max_size=30), st.sampled_from(["kx", "(kx+ky)", "-kz", "2"]))
+    def test_a_chain_round_trips(self, exponents, base):
+        from asx.expr import format_expression, parse_expression
+
+        tree = parse_expression(base + "".join(f"^{e}" for e in exponents))
+        assert parse_expression(format_expression(tree)) == tree
+
+
 MALFORMED = [
     "",
     "   ",
@@ -338,6 +359,27 @@ class TestEvaluationFaults:
         assert out.dtype == complex and out.shape == kz.shape
         assert np.array_equal(out, f._fn(kx, kx, kz, 1.0))
         assert isinstance(f.evaluate(0.0, 0.0, 0.5 + 0j, 1.0), complex)
+
+    @pytest.mark.parametrize(
+        "spectrum",
+        ["weyl", "constant", "gaussian(2)", "exp(-(kx^2+ky^2))", "i/(2*pi*kz)*exp(-1.5*i*kx + 0.75*i*ky)", "2"],
+    )
+    def test_a_scalar_call_returns_the_bits_of_an_array_call(self, spectrum):
+        # scalars with a scalar value skip numpy's broadcast: the same
+        # complex, bit for bit, as the element of a one-element array call
+        f = parse_spectrum(spectrum) if spectrum[0] in "ei2" else builtin_spectrum(spectrum)
+        for kx, ky, kz in ((0.3, -0.2, 0.9), (0.0, 0.0, 1.0), (1.25, 0.5, 0.7j), (-0.6, 0.4, 0.69 + 0j)):
+            value = f.evaluate(kx, ky, kz, 1.0)
+            row = f.evaluate(np.array([kx]), np.array([ky]), np.array([kz], dtype=complex), 1.0)
+            assert type(value) is complex
+            assert repr(value) == repr(complex(row[0]))
+
+    @pytest.mark.parametrize("src", ["exp(kx)", "1e308*kx*kz"])
+    def test_a_non_finite_scalar_is_an_error(self, src):
+        f = parse_spectrum(src)
+        with pytest.raises(SpectrumEvaluationError) as fault:
+            f.evaluate(1e6, 0.0, 10.0, 1.0)
+        assert str(fault.value) == f"spectrum {f.label!r} produced a non-finite value"
 
     def test_principal_branch_sqrt(self):
         f = parse_spectrum("sqrt(kz)")
