@@ -2,20 +2,28 @@
 
     python bench/oracle_matrix.py --before OTHER_CHECKOUT --out BENCH.json
 
-Runs ``oracle_eval`` (rel_tol 1e-7, k0 = 1, azimuth 0.4) on 42 cases:
+Runs ``oracle_eval`` (rel_tol 1e-7, k0 = 1, azimuth 0.4) on 48 cases:
 the spectra weyl, gauss (gaussian(2)), tweyl (a parsed translated Weyl)
 and pgauss (gaussian(2) parsed, ``exp(-(kx^2+ky^2))``) of
 perfbench/reference.py, theta in {1, .7, .3}, k0*r in {20, 100, 300},
-then weyl and tweyl at three points near grazing:
-(299.9, 0, 0.5), (299.9, 0, 5) and (100, 0, 3).  Each case records
-seconds, ``evaluations``, ``est_error``, ``converged``, ``radial`` (the
-spectrum's mark, which picks the oracle's J0 path) and the true error
-where an exact form exists (the two Weyl spectra are spherical waves,
-also from perfbench/reference.py).  It also records ``spectrum_calls``,
-the calls the oracle made to the spectrum, counted in a second, untimed
-run through a recording wrapper around the spectrum's ``evaluate``, and
-``peak_mb``, the peak of the allocations tracemalloc traced in that run
-(numpy's arrays included), in MB of 2^20 bytes.
+then weyl, tweyl, dipole (``i*kx/(2*pi*kz)``) and ring (the Weyl times
+``cos(1.5*kx - 0.75*ky)``, the mean of tweyl and its mirror image) at
+three points near grazing: (299.9, 0, 0.5), (299.9, 0, 5) and (100, 0, 3).
+The dipole and the ring are the ring path's cost: no shift is found in
+either.  Each case records seconds, ``evaluations``, ``est_error``,
+``converged``, ``path`` ("radial" where the oracle takes its J0 path,
+"ring" where it samples rings of f; a spectrum with a shift takes the path
+of its remainder) and the true error where an exact form exists (the Weyl
+spectra are spherical waves, from perfbench/reference.py, the dipole is
+``(x/r)*(1 + i/r)*exp(i*r)/r``).  It also records ``spectrum_calls``, the
+calls the oracle made to the spectrum it integrates (the remainder of one
+with a shift), counted in a second, untimed run through a recording
+wrapper around that spectrum's ``evaluate``, and ``peak_mb``, the peak of
+the allocations tracemalloc traced in that run (numpy's arrays included),
+in MB of 2^20 bytes.  A case the oracle refuses with a ConfigError (tweyl
+on axis at k0*r = 300, which the shift takes beyond the envelope) records
+the message as ``refused`` in place of the numbers, and the comparisons
+below skip it.
 Then it runs the 72-case honesty grid, exact Weyl at theta in
 {1, .9, .7, .5, .3, .15}, k0*r in {5, 20, 80, 250} and rel_tol in
 {1e-4, 1e-7, 1e-10}, and keeps the worst ratio of true error to
@@ -31,14 +39,15 @@ out of all), and gives per spectrum the range of the relative change in
 ``evaluations`` and the largest change of ``value``, relative and in
 units of the before side's ``est_error``; then the range of
 ``spectrum_calls`` on each side, the summed median seconds of all cases
-(``matrix_seconds``) and of the cases radial on either side
-(``radial_seconds``, which tweyl's grazing cases do not drown), and each
+(``matrix_seconds``) and of the cases on the radial path on both sides
+(``radial_seconds``, which no ring path drowns), and each
 side's worst ratio of true error to ``est_error`` over the matrix cases
 with an exact form, beside that of the grid, and each side's largest
 ``peak_mb``.  Beside them it gives each side's summed ``evaluations`` and
 ``spectrum_calls`` (``summed_counts``), over all cases and over the 36
-theta x k0*r cases, which a claim on cost can rest on where the seconds
-spread too wide to resolve it, and the grid's worst true error over
+theta x k0*r cases, both over the cases answered on both sides, which a
+claim on cost can rest on where the seconds spread too wide to resolve
+it, the cases each side ``refused``, and the grid's worst true error over
 ``rel_tol`` (``honesty_worst_error_over_tol``).  Needs only the standard
 library and what asx itself imports (numpy).
 """
@@ -46,6 +55,7 @@ library and what asx itself imports (numpy).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import platform
 import statistics
@@ -60,13 +70,16 @@ sys.path.insert(0, str(REPO / "perfbench"))
 import reference  # noqa: E402  (spectra and exact values, apart from asx)
 
 SPECTRA = ("weyl", "gauss", "tweyl", "pgauss")  # keys of reference.SPECTRA
-EXACT = ("weyl", "tweyl")  # spectra with a closed-form true value
+A, B = reference.SHIFT_A, reference.SHIFT_B
+# the ring path's exact cases, which carry no shift
+RING_SPECTRA = {"dipole": "i*kx/(2*pi*kz)", "ring": f"i*cos({A}*kx - {B}*ky)/(2*pi*kz)"}
+EXACT = ("weyl", "tweyl", *RING_SPECTRA)  # spectra with a closed-form true value
 REPEATS = 5
 THETAS = (1.0, 0.7, 0.3)
 K0RS = (20.0, 100.0, 300.0)
 AZIMUTH = 0.4
 GRAZING = ((299.9, 0.0, 0.5), (299.9, 0.0, 5.0), (100.0, 0.0, 3.0))  # (x, y, z)
-GRAZING_SPECTRA = ("weyl", "tweyl")
+GRAZING_SPECTRA = ("weyl", "tweyl", *RING_SPECTRA)
 HONESTY = {
     "theta": (1.0, 0.9, 0.7, 0.5, 0.3, 0.15),
     "k0r": (5.0, 20.0, 80.0, 250.0),
@@ -75,13 +88,23 @@ HONESTY = {
 
 
 def exact(key: str, p) -> complex:
+    if key == "dipole":
+        return p.x / p.r * (1.0 + 1j / p.r) * reference.spherical_wave(p.x, p.y, p.z, 1.0)
+    if key == "ring":
+        waves = (reference.spherical_wave(p.x - s * A, p.y + s * B, p.z, 1.0) for s in (1, -1))
+        return 0.5 * sum(waves)
     return reference.true_value(key, p.x, p.y, p.z, 1.0)[0]
+
+
+def spectrum_text(key: str) -> str:
+    return RING_SPECTRA.get(key) or reference.SPECTRA[key][0] or reference.SPECTRA[key][1]
 
 
 def measure(src: str) -> dict:
     """Run the matrix and the honesty grid on the asx found in src."""
     sys.path.insert(0, src)
     from asx import (
+        ConfigError,
         ObservationPoint,
         QuadratureConfig,
         builtin_spectrum,
@@ -90,18 +113,23 @@ def measure(src: str) -> dict:
         weyl,
     )
     from asx.harness import point_from_parameters
-    from asx.spectra import SpectrumFunction
 
     def untimed(f, p) -> tuple[int, float]:
-        """Spectrum calls and peak traced MB of one run."""
+        """Spectrum calls and peak traced MB of one run, the calls counted on
+        the spectrum the oracle integrates."""
         calls = []
 
-        def recording(kx, ky, kz, k0):
-            calls.append(None)
-            return f.evaluate(kx, ky, kz, k0)
+        def recorded(g):
+            def recording(kx, ky, kz, k0):
+                calls.append(None)
+                return g.evaluate(kx, ky, kz, k0)
 
+            return dataclasses.replace(g, _fn=recording)
+
+        taken = integrated(f)
+        probe = recorded(f) if taken is f else dataclasses.replace(f, remainder=recorded(taken))
         tracemalloc.start()
-        oracle_eval(SpectrumFunction(label=f.label, radial=f.radial, _fn=recording), p, 1.0)
+        oracle_eval(probe, p, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         return len(calls), peak / 2**20
@@ -120,18 +148,20 @@ def measure(src: str) -> dict:
     oracle_eval(weyl(), points[0][3], 1.0)
     cases = []
     for key, theta, k0r, p in points:
-        builtin, expr = reference.SPECTRA[key]
-        f = builtin_spectrum(builtin) if builtin else parse_spectrum(expr)
+        builtin = reference.SPECTRA.get(key, (None,))[0]
+        f = builtin_spectrum(builtin) if builtin else parse_spectrum(spectrum_text(key))
+        case = {"spectrum": key, "theta": theta, "k0r": k0r, "point": [p.x, p.y, p.z]}
+        cases.append(case)
         start = time.perf_counter()
-        res = oracle_eval(f, p, 1.0)
+        try:
+            res = oracle_eval(f, p, 1.0)
+        except ConfigError as exc:
+            case["refused"] = str(exc)
+            continue
         seconds = time.perf_counter() - start
         calls, peak_mb = untimed(f, p)
-        cases.append(
+        case.update(
             {
-                "spectrum": key,
-                "theta": theta,
-                "k0r": k0r,
-                "point": [p.x, p.y, p.z],
                 "seconds": seconds,
                 "value": [res.value.real, res.value.imag],
                 "evaluations": res.evaluations,
@@ -140,7 +170,7 @@ def measure(src: str) -> dict:
                 "est_error": res.est_error,
                 "true_error": abs(res.value - exact(key, p)) if key in EXACT else None,
                 "converged": res.converged,
-                "radial": f.radial,
+                "path": "radial" if integrated(f).radial else "ring",
             }
         )
     ratios, over_tol = [], []
@@ -164,6 +194,12 @@ def measure(src: str) -> dict:
     }
 
 
+def integrated(f):
+    """The spectrum oracle_eval integrates: the remainder of one with a
+    shift, f itself on a checkout that finds none."""
+    return getattr(f, "remainder", None) or f
+
+
 def run_side(src: Path) -> dict:
     proc = subprocess.run(
         [sys.executable, __file__, "--measure", str(src)],
@@ -179,11 +215,13 @@ def combine(runs: list[dict]) -> dict:
     the other fields are deterministic and taken from the first run."""
     first = runs[0]
     for i, case in enumerate(first["cases"]):
+        if "refused" in case:
+            continue
         seconds = [run["cases"][i]["seconds"] for run in runs]
         case["seconds"] = statistics.median(seconds)
         case["seconds_range"] = [min(seconds), max(seconds)]
     first["honesty"]["seconds"] = statistics.median(run["honesty"]["seconds"] for run in runs)
-    first["matrix_seconds"] = sum(case["seconds"] for case in first["cases"])
+    first["matrix_seconds"] = sum(case.get("seconds", 0.0) for case in first["cases"])
     return first
 
 
@@ -199,7 +237,7 @@ def matrix_worst_ratio(side: dict) -> float:
     return max(
         case["true_error"] / case["est_error"]
         for case in side["cases"]
-        if case["true_error"] is not None
+        if case.get("true_error") is not None
     )
 
 
@@ -222,44 +260,62 @@ def main(argv: list[str] | None = None) -> int:
             runs[side].append(run_side(src))
     before, after = combine(runs["before"]), combine(runs["after"])
 
-    for b, a in zip(before["cases"], after["cases"]):
+    # the cases answered on both sides, by index
+    answered = [
+        i
+        for i, (b, a) in enumerate(zip(before["cases"], after["cases"]))
+        if "refused" not in b and "refused" not in a
+    ]
+    for i in answered:
+        b, a = before["cases"][i], after["cases"][i]
         vb, va = complex(*b["value"]), complex(*a["value"])
         a["value_rel_change"] = abs(va - vb) / abs(vb)
         a["value_change_over_est_error"] = abs(va - vb) / b["est_error"]
         a["evaluations_change"] = a["evaluations"] / b["evaluations"] - 1.0
 
-    def by_spectrum(field: str, reduce) -> dict:
-        return {
-            key: reduce([a[field] for a in after["cases"] if a["spectrum"] == key])
-            for key in SPECTRA
-        }
+    keys = [*SPECTRA, *RING_SPECTRA]
 
-    radial = [b["radial"] or a["radial"] for b, a in zip(before["cases"], after["cases"])]
+    def by_spectrum(field: str, reduce) -> dict:
+        cases = [after["cases"][i] for i in answered]
+        return {key: reduce([c[field] for c in cases if c["spectrum"] == key]) for key in keys}
+
+    radial = [
+        i for i in answered if before["cases"][i]["path"] == after["cases"][i]["path"] == "radial"
+    ]
     grid = len(SPECTRA) * len(THETAS) * len(K0RS)  # the theta x k0r cases come first
 
     def summed(field: str) -> dict:
         return {
-            cases: [sum(c[field] for c in side["cases"][:stop]) for side in (before, after)]
-            for cases, stop in (("all", None), ("theta_k0r", grid))
+            cases: [
+                sum(side["cases"][i][field] for i in answered if i < stop) for side in (before, after)
+            ]
+            for cases, stop in (("all", len(after["cases"])), ("theta_k0r", grid))
         }
+
+    def over(side: dict, field: str) -> list:
+        return [c[field] for c in side["cases"] if "refused" not in c]
 
     report = {
         "matrix": "oracle_eval, rel_tol 1e-7, k0 1, azimuth 0.4; "
-        + f"theta {list(THETAS)}; k0r {list(K0RS)}; weyl and tweyl at (x, y, z) {list(GRAZING)}",
-        "spectra": {key: reference.SPECTRA[key][0] or reference.SPECTRA[key][1] for key in SPECTRA},
+        + f"theta {list(THETAS)}; k0r {list(K0RS)}; "
+        + f"{', '.join(GRAZING_SPECTRA)} at (x, y, z) {list(GRAZING)}",
+        "spectra": {key: spectrum_text(key) for key in keys},
         "host": f"{platform.machine()}, Python {platform.python_version()}",
         "timing": f"{REPEATS} alternating runs per side, median time per case",
         "before": before,
         "after": after,
         "summary": {
             "identical_cases": [
-                sum(identical(b, a) for b, a in zip(before["cases"], after["cases"])),
+                sum(identical(before["cases"][i], after["cases"][i]) for i in answered),
                 len(after["cases"]),
             ],
+            "refused": {
+                side: [[c["spectrum"], c["point"], c["refused"]] for c in cases if "refused" in c]
+                for side, cases in (("before", before["cases"]), ("after", after["cases"]))
+            },
             "matrix_seconds": [before["matrix_seconds"], after["matrix_seconds"]],
             "radial_seconds": [
-                sum(case["seconds"] for case, r in zip(side["cases"], radial) if r)
-                for side in (before, after)
+                sum(side["cases"][i]["seconds"] for i in radial) for side in (before, after)
             ],
             "honesty_worst_ratio": [
                 before["honesty"]["worst_ratio"],
@@ -274,20 +330,14 @@ def main(argv: list[str] | None = None) -> int:
             "max_value_change_over_est_error": by_spectrum("value_change_over_est_error", max),
             "evaluations_change": by_spectrum("evaluations_change", lambda c: [min(c), max(c)]),
             "spectrum_calls": {
-                side: [min(calls), max(calls)]
-                for side, calls in (
-                    ("before", [b["spectrum_calls"] for b in before["cases"]]),
-                    ("after", [a["spectrum_calls"] for a in after["cases"]]),
-                )
+                side: [min(over(cases, "spectrum_calls")), max(over(cases, "spectrum_calls"))]
+                for side, cases in (("before", before), ("after", after))
             },
             "summed_counts": {field: summed(field) for field in ("evaluations", "spectrum_calls")},
-            "peak_mb": [
-                max(b["peak_mb"] for b in before["cases"]),
-                max(a["peak_mb"] for a in after["cases"]),
-            ],
+            "peak_mb": [max(over(before, "peak_mb")), max(over(after, "peak_mb"))],
             "converged_not_worse": all(
-                a["converged"] or not b["converged"]
-                for a, b in zip(after["cases"], before["cases"])
+                after["cases"][i]["converged"] or not before["cases"][i]["converged"]
+                for i in answered
             ),
         },
     }

@@ -49,7 +49,13 @@ design optimizes for controlled error rather than speed:
   where the phase moves at most k0r a radian, while in kz it speeds up
   without bound towards the branch circle;
 * a ring that reaches _MAX_PHI_NODES unpassed ends the run, unconverged
-  and with est_error = inf: no bound holds for a row it cannot resolve.
+  and with est_error = inf: no bound holds for a row it cannot resolve;
+* a spectrum with a shift, f = g*exp(i*(a*kx + b*ky + c*kz)) (see
+  parse_spectrum), is integrated as its remainder g at p + (a, b, c), the
+  shift theorem, on the radial path when g is radial: the envelope holds at
+  p and at the shifted point, the cutoff and the bandwidth at the shifted
+  point, and a shifted z <= 0, where the integral does not converge, is
+  refused.
 
 Cost grows with k0*r (and, for a parsed spectrum, with the bandwidth of f),
 so the oracle refuses k0*r above ORACLE_K0R_ENVELOPE.  Identical inputs
@@ -518,6 +524,31 @@ def _evanescent_cutoff(z: float, k_max: float, rel_tol: float) -> tuple[float, f
     return s_max, s_cap
 
 
+def _check_envelope(k0r: float, where: str = "") -> None:
+    """Refuse k0*r beyond ORACLE_K0R_ENVELOPE, with a few ulps of slack:
+    sweep points at the envelope are rebuilt from (theta, k0r) and carry
+    rounding in r."""
+    if not k0r <= ORACLE_K0R_ENVELOPE * (1.0 + 1e-12):
+        raise ConfigError(
+            f"k0*r = {k0r:g}{where} is outside the oracle's desk-scale envelope "
+            f"k0*r <= {ORACLE_K0R_ENVELOPE:g}"
+        )
+
+
+def _shifted(f: SpectrumFunction, p: ObservationPoint, k0: float) -> ObservationPoint:
+    """The point at which f's remainder is integrated, p + f.shift: refused
+    at z <= 0, where the integral does not converge, and beyond the
+    envelope."""
+    x, y, z = (a + b for a, b in zip((p.x, p.y, p.z), f.shift))
+    shift = "(" + ", ".join(f"{v:g}" for v in f.shift) + ")"
+    named = f"spectrum {f.label!r} shifts the point by {shift}"
+    if not z > 0.0:
+        raise DomainError(f"{named} to z = {z:g}, where its integral does not converge")
+    at = ObservationPoint(x, y, z)
+    _check_envelope(k0 * at.r, f" at the shifted point ({named})")
+    return at
+
+
 def _check_bandwidth(p: ObservationPoint, s_max: float) -> None:
     """Refuse a cutoff whose widest ring, k_rho = sqrt(1 + s_max^2), has an
     azimuthal bandwidth k_rho*rho_xy beyond _MAX_PHI_BANDWIDTH; every
@@ -565,6 +596,10 @@ def oracle_eval(
     panel budget, the k_max cap, the rounding floor of the panel errors,
     or the azimuthal node cap, which sets ``est_error`` inf) the last value
     is returned with ``converged=False`` and ``limit`` naming it.  A
+    spectrum with a shift is integrated as its remainder at p + shift, with
+    the same value and est_error; a shifted z <= 0 is a
+    :class:`~asx.errors.DomainError`, and k0*r beyond the envelope at either
+    point a :class:`~asx.errors.ConfigError`.  A
     persistently growing error estimate under refinement raises
     :class:`~asx.errors.DivergenceError`, and a value or error estimate that
     is not finite (a spectrum large enough to overflow the sums) raises
@@ -575,25 +610,21 @@ def oracle_eval(
     """
     cfg = cfg or QuadratureConfig()
     require_positive("k0", k0)
-    k0r = k0 * p.r
-    # a few ulps of slack: sweep points at the envelope are rebuilt from
-    # (theta, k0r) and carry rounding in r
-    if not k0r <= ORACLE_K0R_ENVELOPE * (1.0 + 1e-12):
-        raise ConfigError(
-            f"k0*r = {k0r:g} is outside the oracle's desk-scale envelope "
-            f"k0*r <= {ORACLE_K0R_ENVELOPE:g}"
-        )
+    _check_envelope(k0 * p.r)
     if cfg.k_max <= k0:
         raise ConfigError(f"k_max must exceed k0, got k_max={cfg.k_max} with k0={k0}")
-    s_max, s_cap = _evanescent_cutoff(k0 * p.z, cfg.k_max / k0, cfg.rel_tol)
-    q = ObservationPoint(k0 * p.x, k0 * p.y, k0 * p.z)  # the cutoff refused k0*z = 0
+    g, at = f, p  # the spectrum integrated and the point it is integrated at
+    if f.shift is not None:
+        g, at = f.remainder, _shifted(f, p, k0)
+    s_max, s_cap = _evanescent_cutoff(k0 * at.z, cfg.k_max / k0, cfg.rel_tol)
+    q = ObservationPoint(k0 * at.x, k0 * at.y, k0 * at.z)  # the cutoff refused k0*z = 0
     _check_bandwidth(q, s_max)
     count = _Counter()
     # worst-first; on equal errors the propagating leg, then the left edge
     heap: list[tuple[float, int, float, float, complex]] = []
 
     def push(leg: int, lo: np.ndarray, hi: np.ndarray):  # panels [lo[i], hi[i]] of a leg
-        h = functools.partial(_leg_integrand, f, q, k0, cfg.rel_tol, count, leg)
+        h = functools.partial(_leg_integrand, g, q, k0, cfg.rel_tol, count, leg)
         for start in range(0, lo.size, _PANEL_BATCH):
             a, b = lo[start : start + _PANEL_BATCH], hi[start : start + _PANEL_BATCH]
             fine, errors = _panels(h, a, b)
@@ -617,7 +648,7 @@ def oracle_eval(
             else:
                 edges = np.linspace(0.0, s_max, n + 1)
             push(leg, edges[:-1], edges[1:])
-        tail = _tail_bound(f, q, k0, s_max, count)
+        tail = _tail_bound(g, q, k0, s_max, count)
         while True:
             # per leg, panels left to right: the sums depend on the panel set only
             values, errors = [0.0 + 0.0j, 0.0 + 0.0j], [0.0, 0.0]
@@ -652,7 +683,7 @@ def oracle_eval(
                 _check_bandwidth(q, edges[-1])
                 push(_EVAN, edges[:-1], edges[1:])
                 s_max = float(edges[-1])
-                tail = _tail_bound(f, q, k0, s_max, count)
+                tail = _tail_bound(g, q, k0, s_max, count)
                 continue
             if -heap[0][0] <= 1e-16 * abs(total):
                 limit = "the rounding floor of the radial panel errors"

@@ -50,11 +50,19 @@ class SpectrumFunction:
     azimuthal integral as 2*pi*f(k_rho)*J0(k_rho*rho_xy); for any other
     spectrum it takes the Fourier coefficients of f from a ring of samples
     on the circle and sums them against J_m(k_rho*rho_xy).
+
+    ``shift`` marks a parsed f = g*exp(i*(a*kx + b*ky + c*kz)) with real
+    constants a, b, c, and ``remainder`` is g (see :func:`parse_spectrum`):
+    by the shift theorem the integral of f at p is that of g at p + shift,
+    where the oracle takes it.  ``label``, ``radial`` and :meth:`evaluate`
+    describe f itself.  Any other spectrum has neither.
     """
 
     label: str
     radial: bool
     _fn: Callable = field(repr=False, compare=False)
+    shift: tuple[float, float, float] | None = None
+    remainder: SpectrumFunction | None = field(default=None, repr=False, compare=False)
 
     def evaluate(self, kx, ky, kz, k0: float):
         """Evaluate at scalars or numpy arrays; faults raise
@@ -166,6 +174,109 @@ def _is_radial(node: expr.Node) -> bool:
     return True
 
 
+_COORDINATES = ("kx", "ky", "kz")
+
+
+def _linear(node: expr.Node) -> tuple[complex, complex, complex, complex] | None:
+    """The coefficients (constant, kx, ky, kz) of a tree that is linear in
+    kx, ky and kz, or None.  Constants are built from numbers, i and pi by
+    the arithmetic operators; k0 counts as a variable, and a call, a power
+    of a term in kx, ky or kz other than ^1 or a division by zero gives
+    None.  An operand whose kx, ky and kz coefficients are all zero counts
+    as a constant."""
+    if isinstance(node, expr.Number):
+        return (complex(node.value), 0j, 0j, 0j)
+    if isinstance(node, expr.Name):
+        if node.ident in expr.CONSTANTS:
+            return (complex(expr.CONSTANTS[node.ident]), 0j, 0j, 0j)
+        if node.ident not in _COORDINATES:
+            return None
+        return tuple(complex(name == node.ident) for name in ("", *_COORDINATES))
+    if isinstance(node, expr.Neg):
+        arg = _linear(node.arg)
+        return None if arg is None else tuple(-c for c in arg)
+    if isinstance(node, expr.Power):
+        base = _linear(node.base)
+        if base is None or node.exponent == 1:
+            return base
+        if any(base[1:]) or (base[0] == 0 and node.exponent < 0):
+            return None
+        try:
+            return (base[0] ** node.exponent, 0j, 0j, 0j)
+        except OverflowError:
+            return None
+    if not isinstance(node, expr.BinOp):
+        return None
+    left, right = _linear(node.left), _linear(node.right)
+    if left is None or right is None:
+        return None
+    if node.op in "+-":
+        sign = 1.0 if node.op == "+" else -1.0
+        return tuple(a + sign * b for a, b in zip(left, right))
+    if node.op == "*":
+        if any(right[1:]):
+            left, right = right, left
+        return None if any(right[1:]) else tuple(c * right[0] for c in left)
+    if any(right[1:]) or right[0] == 0:
+        return None
+    return tuple(c / right[0] for c in left)
+
+
+def _factors(node: expr.Node, divides: bool = False) -> list[tuple[expr.Node, bool]]:
+    """The factors of a product and quotient chain, each with whether it
+    divides; any other tree is a chain of one factor."""
+    if isinstance(node, expr.BinOp) and node.op in "*/":
+        return _factors(node.left, divides) + _factors(node.right, divides != (node.op == "/"))
+    return [(node, divides)]
+
+
+def _without(node: expr.Node, factor: expr.Node) -> expr.Node | None:
+    """A chain with one of its factors dropped; None for the factor itself."""
+    if node is factor:
+        return None
+    if not (isinstance(node, expr.BinOp) and node.op in "*/"):
+        return node
+    left, right = _without(node.left, factor), _without(node.right, factor)
+    if right is None:
+        return left
+    if left is None:
+        return right if node.op == "*" else expr.BinOp("/", expr.Number(1.0), right)
+    return expr.BinOp(node.op, left, right)
+
+
+def _shift(tree: expr.Node) -> tuple[tuple[float, float, float], expr.Node] | None:
+    """The shift (a, b, c) and the remainder g of a chain g*exp(L), or None.
+
+    L must be i*(a*kx + b*ky + c*kz) with real constants a, b, c: linear in
+    kx, ky and kz, with no constant term and coefficients of zero real part.
+    Exactly one factor of the chain may be such an exp; as a divisor it
+    shifts by -(a, b, c)."""
+    found = []
+    for node, divides in _factors(tree):
+        if isinstance(node, expr.Call) and node.func == "exp":
+            form = _linear(node.arg)
+            if (
+                form is not None
+                and form[0] == 0
+                and all(c.real == 0 and math.isfinite(c.imag) for c in form[1:])
+            ):
+                sign = -1.0 if divides else 1.0
+                found.append((node, tuple(sign * c.imag + 0.0 for c in form[1:])))
+    if len(found) != 1:
+        return None
+    (factor, shift), = found
+    rest = _without(tree, factor)
+    return shift, expr.Number(1.0) if rest is None else rest
+
+
+def _tree_spectrum(tree: expr.Node, **shifted) -> SpectrumFunction:
+    def fn(kx, ky, kz, k0):
+        return expr.evaluate_tree(tree, {"kx": kx, "ky": ky, "kz": kz, "k0": k0})
+
+    label = expr.format_expression(tree)
+    return SpectrumFunction(label=label, radial=_is_radial(tree), _fn=fn, **shifted)
+
+
 def parse_spectrum(src: str) -> SpectrumFunction:
     """Parse an expression such as ``"i/(2*pi*kz)"`` into a spectrum.
 
@@ -178,11 +289,23 @@ def parse_spectrum(src: str) -> SpectrumFunction:
     ``1+kx^2+ky^2`` parses as ``(1+kx^2)+ky^2`` and ``exp(-kx^2)*exp(-ky^2)``
     names kx^2 alone, so both stay on the oracle's ring path, which is
     slower but exact for any spectrum.
+
+    A product and quotient chain with exactly one factor
+    ``exp(i*(a*kx + b*ky + c*kz))``, its coefficients real constants built
+    from numbers, ``i`` and ``pi`` and no constant term, carries the shift
+    (a, b, c), negated for a divisor, and the chain without that factor as
+    its ``remainder``, radial or not by the test above:
+    ``i/(2*pi*kz)*exp(-1.5*i*kx + 0.75*i*ky)`` is the Weyl spectrum shifted
+    by (-1.5, 0.75, 0).  This rule is syntactic and conservative too.
+    ``k0`` counts as a variable, so ``exp(i*kx/k0)`` carries no shift, and
+    neither do a real or mixed exponent (``exp(-kx)``), a sum
+    (``1 + exp(i*kx)``), a nonlinear form (``exp(i*kx*ky)``), two such
+    factors (``exp(i*kx)*exp(i*ky)``) or a ``cos`` of a linear form; all of
+    them take the ring path.
     """
     tree = expr.parse_expression(src)
-    label = expr.format_expression(tree)
-
-    def fn(kx, ky, kz, k0):
-        return expr.evaluate_tree(tree, {"kx": kx, "ky": ky, "kz": kz, "k0": k0})
-
-    return SpectrumFunction(label=label, radial=_is_radial(tree), _fn=fn)
+    found = _shift(tree)
+    if found is None:
+        return _tree_spectrum(tree)
+    shift, rest = found
+    return _tree_spectrum(tree, shift=shift, remainder=_tree_spectrum(rest))

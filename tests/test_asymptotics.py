@@ -270,6 +270,28 @@ class TestLocalSdpIntegral:
         assert_allclose(parsed, built, rtol=1e-13)
 
 
+class TestShiftedSpectra:
+    @pytest.mark.parametrize(
+        "src",
+        ["i/(2*pi*kz)*exp(-1.5*i*kx + 0.75*i*ky)", "kx/exp(i*2*kx)", "i/(2*pi*kz)*exp(0.5*i*kz)"],
+    )
+    def test_the_closed_forms_ignore_the_shift(self, src):
+        # leading_order and local_sdp_integral evaluate f itself at p's
+        # saddle: the same bits with the shift and without it
+        import dataclasses
+
+        from asx import point_from_parameters
+
+        f = parse_spectrum(src)
+        assert f.shift is not None
+        plain = dataclasses.replace(f, shift=None, remainder=None)
+        for theta, k0r in ((1.0, 50.0), (0.7, 20.0), (0.3, 300.0), (0.05, 1e4)):
+            p = point_from_parameters(theta, k0r, 1.0, 0.4)
+            assert repr(leading_order(f, p, 1.0)) == repr(leading_order(plain, p, 1.0))
+            got, want = (local_sdp_integral(g, p, 1.0, n=64) for g in (f, plain))
+            assert repr(got) == repr(want)
+
+
 class TestVerificationChain:
     def test_both_gaps_shrink_with_k0r(self):
         # |oracle - local_sdp| and |local_sdp - leading_order| both decrease

@@ -524,6 +524,10 @@ BAD_INPUTS = [
     ("eval --spectrum constant --k0 1e-160 --point 0,0,2e161", 3, 0),
     # the azimuthal bandwidth at the initial cutoff is refused before any panel
     ("oracle --spectrum weyl --point 3,0,1e-4", 3, 0),
+    # a shift to z + c <= 0, where the integral does not converge, and one
+    # beyond the envelope k0*r <= 300
+    ("oracle --spectrum-expr i/(2*pi*kz)*exp(-2*i*kz) --point 3,4,1", 3, 0),
+    ("oracle --spectrum-expr i/(2*pi*kz)*exp(5*i*kx) --point 299,0,1", 2, 0),
     ("compare --spectrum constant --theta 0.8 --k0r-grid 20:x:4", 2, 0),
     ("compare --spectrum constant --theta 0.8 --k0r-grid 100:20:4", 2, 0),
     ("compare --spectrum constant --theta 0.8 --k0r-grid 20:100:0", 2, 0),
@@ -618,32 +622,46 @@ def near_shifted_weyl(r, theta, azimuth, t):
     return ["--spectrum-expr", f"i/(2*pi*kz)*exp(-{shift!r}*i*kx)"], polar_point(r, theta, azimuth)
 
 
-# Builtins are radial and take the oracle's J0 path; a parsed spectrum that
-# names kx or ky other than in a sum kx^2+ky^2 takes a ring of f per radial
-# node, whose size follows the bandwidth of f, d*k_rho for a translation by
-# d, up to the evanescent cutoff s_max ~ 30/z.  The translated Weyl of
-# perfbench's tweyl (d = 1.7) keeps r >= 25, so that z >= 0.5 down to
-# theta = 0.02; a Weyl translated by up to 2*z has a bandwidth below ~60
-# wherever it is drawn, so it takes the ring down to k0*r = 1e-3, where the
-# Bessel sum's top order often exceeds k_rho*rho_xy (Bessel's integral with
-# a high top).  BAD_INPUTS pins the exit codes nearer
-# to the z = 0 plane.
+def near_cos_ring(r, theta, azimuth, t):
+    """A Weyl spectrum times cos(t*z*kx), the mean of two translated by
+    -+t*z along x, at a polar point."""
+    d = t * r * theta
+    return ["--spectrum-expr", f"i*cos({d!r}*kx)/(2*pi*kz)"], polar_point(r, theta, azimuth)
+
+
+# Builtins are radial and take the oracle's J0 path.  A parsed Weyl times one
+# exp(i*(a*kx + b*ky)) carries a shift and takes that path at the shifted
+# point: perfbench's tweyl, and a Weyl translated along x by up to 2*z.  A
+# parsed spectrum that names kx or ky otherwise, such as a Weyl times a cos
+# of d*kx, takes a ring of f per radial node, whose size follows the
+# bandwidth of f, d*k_rho, up to the evanescent cutoff s_max ~ 30/z.  The
+# cos ring of tweyl's shift (d = 1.7) keeps r >= 25, so that z >= 0.5 down
+# to theta = 0.02; a cos of up to 2*z*kx has a bandwidth below ~60 wherever
+# it is drawn, so it takes the ring down to k0*r = 1e-3, where the Bessel
+# sum's top order often exceeds k_rho*rho_xy (Bessel's integral with a high
+# top).  BAD_INPUTS pins the exit codes nearer to the z = 0 plane.
+NEAR = {
+    "r": st.floats(1e-3, 30.0),
+    "theta": st.floats(0.02, 1.0),
+    "azimuth": st.floats(0.0, 2 * math.pi),
+    "t": st.floats(0.0, 2.0),
+}
 ORACLE_CASES = st.one_of(
     st.tuples(
         st.sampled_from([["--spectrum", name] for name in ("weyl", "constant", "gaussian(2)")]),
         oracle_points(1e-3),
     ),
     st.tuples(
-        st.just(["--spectrum-expr", "i/(2*pi*kz)*exp(-1.5*i*kx + 0.75*i*ky)"]),
+        st.sampled_from(
+            [
+                ["--spectrum-expr", "i/(2*pi*kz)*exp(-1.5*i*kx + 0.75*i*ky)"],
+                ["--spectrum-expr", "i*cos(1.5*kx - 0.75*ky)/(2*pi*kz)"],
+            ]
+        ),
         oracle_points(25.0),
     ),
-    st.builds(
-        near_shifted_weyl,
-        r=st.floats(1e-3, 30.0),
-        theta=st.floats(0.02, 1.0),
-        azimuth=st.floats(0.0, 2 * math.pi),
-        t=st.floats(0.0, 2.0),
-    ),
+    st.builds(near_shifted_weyl, **NEAR),
+    st.builds(near_cos_ring, **NEAR),
 )
 ODD = [0.0, -1e-7, math.nan, math.inf, 1e200]
 

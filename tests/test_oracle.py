@@ -470,16 +470,17 @@ class TestAzimuthalPaths:
         assert res.evaluations == below + _MAX_PHI_NODES - _BLOCK_ELEMENTS
 
     def test_late_cap_keeps_the_last_sums(self, monkeypatch):
-        # at rel_tol 1e-10 the rings of a translated constant grow with
+        # at rel_tol 1e-10 the rings of cos(1.5*kx - 0.75*ky) grow with
         # k_rho, and a 512-node cap is first reached in a tail extension,
         # beyond the initial cutoff, after the initial panels were summed:
-        # the run keeps the last sums (here within 1e-6 of the constant's
-        # closed form about (1.5, -0.75, 0)) and says that no bound holds
+        # the run keeps the last sums (here within 1e-6 of the mean of the
+        # constant's closed forms about (1.5, -0.75, 0) and (-1.5, 0.75, 0))
+        # and says that no bound holds
         from asx import oracle, parse_spectrum
 
         monkeypatch.setattr(oracle, "_MAX_PHI_NODES", 512)
         p = ObservationPoint(10, 0, 0.6)
-        f = parse_spectrum("exp(-1.5*i*kx + 0.75*i*ky)")
+        f = parse_spectrum("cos(1.5*kx - 0.75*ky)")
         res = oracle_eval(f, p, 1.0, QuadratureConfig(rel_tol=1e-10))
         assert not res.converged
         assert res.limit.startswith("the 512-node azimuthal cap at k_rho = ")
@@ -488,7 +489,10 @@ class TestAzimuthalPaths:
         assert res.est_error == math.inf
         assert res.value != 0
         assert res.value == res.propagating_part + res.evanescent_part
-        exact = constant_closed_form(ObservationPoint(p.x - 1.5, p.y + 0.75, p.z))
+        exact = 0.5 * sum(
+            constant_closed_form(ObservationPoint(p.x - a, p.y + b, p.z))
+            for a, b in ((1.5, 0.75), (-1.5, -0.75))
+        )
         assert abs(res.value - exact) <= 1e-6 * abs(exact)
 
     @pytest.mark.parametrize("point", [(0, 0, 5), (0.3, 0.4, 5)], ids=["axis", "off-axis"])
@@ -648,11 +652,21 @@ class TestBesselOrders:
 
 
 TRANSLATED_WEYL = "i/(2*pi*kz)*exp(-1.5*i*kx + 0.75*i*ky)"
+# The ring path's exact case: parse_spectrum finds no shift in a cos, so the
+# oracle samples its rings
+RING = "i*cos(1.5*kx - 0.75*ky)/(2*pi*kz)"
 
 
 def translated_wave(p, k0=1.0):
     """Exact integral of TRANSLATED_WEYL: the spherical wave about (1.5, -0.75, 0)."""
     return spherical_wave(ObservationPoint(p.x - 1.5, p.y + 0.75, p.z), k0)
+
+
+def ring_wave(p, k0=1.0):
+    """Exact integral of RING: the mean of the spherical waves about
+    (1.5, -0.75, 0) and (-1.5, 0.75, 0)."""
+    back = spherical_wave(ObservationPoint(p.x + 1.5, p.y - 0.75, p.z), k0)
+    return 0.5 * (translated_wave(p, k0) + back)
 
 
 def brute_force_rows(krho, kz, p, nodes=1 << 13):
@@ -688,22 +702,23 @@ class TestJacobiAngerPath:
         assert np.max(np.abs(rows - reference) / scale) <= 1e-12
 
     @pytest.mark.parametrize("point", [(3, 4, 5), (20, -7, 2), (-40, 25, 3)])
-    def test_translated_weyl_is_the_translated_spherical_wave(self, point):
+    def test_cos_ring_is_the_mean_of_two_spherical_waves(self, point):
         from asx import parse_spectrum
 
         p = ObservationPoint(*point)
-        res = oracle_eval(parse_spectrum(TRANSLATED_WEYL), p, 1.0)
+        res = oracle_eval(parse_spectrum(RING), p, 1.0)
         assert res.converged
-        assert abs(res.value - translated_wave(p)) <= res.est_error
+        assert abs(res.value - ring_wave(p)) <= res.est_error
 
-    def test_translated_weyl_converges_near_grazing(self):
-        # theta = 0.03; the trapezoid needed 9.2M evaluations here
+    def test_cos_ring_converges_near_grazing(self):
+        # theta = 0.03; the trapezoid needed 9.2M evaluations here for the
+        # translated Weyl, whose rings are as wide as these
         from asx import parse_spectrum
 
         p = ObservationPoint(100, 0, 3)
-        res = oracle_eval(parse_spectrum(TRANSLATED_WEYL), p, 1.0)
+        res = oracle_eval(parse_spectrum(RING), p, 1.0)
         assert res.converged
-        assert abs(res.value - translated_wave(p)) <= res.est_error
+        assert abs(res.value - ring_wave(p)) <= res.est_error
         assert res.evaluations < 2_000_000
 
     @pytest.mark.parametrize("x_max", [0.0, 5e-324, 0.3, 7.0, 60.0, 900.0])
@@ -774,6 +789,74 @@ class TestJacobiAngerPath:
         assert repr(res.value / 2.0**k) == repr(base.value)
         assert repr(res.est_error / 2.0**k) == repr(base.est_error)
         assert res.evaluations == base.evaluations
+
+
+class TestShiftTheorem:
+    """A parsed g*exp(i*(a*kx + b*ky + c*kz)) is integrated as g at
+    p + (a, b, c), on the radial path when g is radial."""
+
+    # the (theta, k0r) matrix of bench/oracle_matrix.py at azimuth 0.4, less
+    # (1, 300), which the shift takes beyond the envelope (see below)
+    MATRIX = [(1.0, 20.0), (1.0, 100.0)]
+    MATRIX += [(theta, k0r) for theta in (0.7, 0.3) for k0r in (20.0, 100.0, 300.0)]
+    GRAZING = [(299.9, 0, 0.5), (299.9, 0, 5), (100, 0, 3)]
+
+    @pytest.mark.parametrize("theta, k0r", MATRIX)
+    def test_translated_weyl_is_the_translated_spherical_wave(self, theta, k0r):
+        from asx import parse_spectrum, point_from_parameters
+
+        p = point_from_parameters(theta, k0r, 1.0, 0.4)
+        res = oracle_eval(parse_spectrum(TRANSLATED_WEYL), p, 1.0)
+        assert res.converged
+        assert abs(res.value - translated_wave(p)) <= res.est_error
+
+    @pytest.mark.parametrize("point", GRAZING)
+    def test_grazing_translated_weyl_is_weyl_at_the_shifted_point(self, point):
+        # the remainder i/(2*pi*kz) at (x - 1.5, y + 0.75, z), bit for bit
+        # (25,453 evaluations at (299.9, 0, 0.5))
+        from asx import parse_spectrum
+
+        p = ObservationPoint(*point)
+        res = oracle_eval(parse_spectrum(TRANSLATED_WEYL), p, 1.0)
+        assert res.converged
+        assert abs(res.value - translated_wave(p)) <= res.est_error
+        assert res.evaluations <= 100_000
+        shifted = ObservationPoint(p.x - 1.5, p.y + 0.75, p.z)
+        alone = oracle_eval(parse_spectrum("i/(2*pi*kz)"), shifted, 1.0)
+        assert (repr(res.value), repr(res.est_error)) == (repr(alone.value), repr(alone.est_error))
+        assert res.evaluations == alone.evaluations
+
+    @pytest.mark.parametrize("c", [0.5, -0.5])
+    def test_a_kz_shift_moves_the_point_along_z(self, c):
+        from asx import parse_spectrum
+
+        f = parse_spectrum(f"i/(2*pi*kz)*exp({c!r}*i*kz)")
+        assert f.shift == (0.0, 0.0, c)
+        res = oracle_eval(f, ObservationPoint(3, 4, 1), 1.0)
+        assert res.converged
+        assert abs(res.value - spherical_wave(ObservationPoint(3, 4, 1 + c))) <= res.est_error
+
+    def test_a_shift_through_the_plane_is_refused(self):
+        # at z + c <= 0 the integral does not converge
+        from asx import DomainError, parse_spectrum
+
+        f = parse_spectrum("i/(2*pi*kz)*exp(-2*i*kz)")
+        with pytest.raises(DomainError, match=r"shifts the point by \(0, 0, -2\) to z = -1"):
+            oracle_eval(f, ObservationPoint(3, 4, 1), 1.0)
+
+    def test_the_envelope_holds_at_both_points(self):
+        # a shift may move a point in or out of k0*r <= 300; the translated
+        # Weyl on axis at k0*r = 300 is integrated at k0*r = 300.0047
+        from asx import parse_spectrum
+
+        f = parse_spectrum("i/(2*pi*kz)*exp(-5*i*kx)")
+        with pytest.raises(ConfigError, match="at the shifted point"):
+            oracle_eval(f, ObservationPoint(-299, 0, 1), 1.0)
+        with pytest.raises(ConfigError, match=r"k0\*r = 305.002 is outside"):
+            oracle_eval(f, ObservationPoint(305, 0, 1), 1.0)
+        assert oracle_eval(f, ObservationPoint(299, 0, 1), 1.0).converged
+        with pytest.raises(ConfigError, match=r"k0\*r = 300.005 at the shifted point"):
+            oracle_eval(parse_spectrum(TRANSLATED_WEYL), ObservationPoint(0, 0, 300), 1.0)
 
 
 class TestUnitsOfK0:
@@ -853,7 +936,7 @@ class TestPanelBatches:
             assert np.array_equal(values, one_values)
             assert np.array_equal(errors, one_errors)
 
-    @pytest.mark.parametrize("spectrum", ["weyl", TRANSLATED_WEYL])
+    @pytest.mark.parametrize("spectrum", ["weyl", RING])
     def test_off_axis_panels_agree_to_rounding(self, spectrum):
         # the Bessel kernels take their order and terms from the extremes of
         # a call, so batching moves the values by rounding only.  J_m rounds
@@ -871,7 +954,7 @@ class TestPanelBatches:
 
     @pytest.mark.parametrize(
         "spectrum, point",
-        [("weyl", (0, 0, 5)), ("weyl", (20, -7, 2)), (TRANSLATED_WEYL, (-40, 25, 3))],
+        [("weyl", (0, 0, 5)), ("weyl", (20, -7, 2)), (RING, (-40, 25, 3))],
         ids=["axis", "off-axis", "ring"],
     )
     def test_disjoint_panels_share_a_call(self, spectrum, point):
@@ -925,13 +1008,13 @@ class TestRefinementRounds:
         assert abs(res.value - spherical_wave(p)) <= res.est_error
         assert res.evaluations <= 0.55 * 4736
 
-    def test_grazing_translated_weyl_converges_within_its_estimate(self):
+    def test_grazing_cos_ring_converges_within_its_estimate(self):
         from asx import parse_spectrum
 
         p = ObservationPoint(299.9, 0, 5)
-        res = oracle_eval(parse_spectrum(TRANSLATED_WEYL), p, 1.0)
+        res = oracle_eval(parse_spectrum(RING), p, 1.0)
         assert res.converged
-        assert abs(res.value - translated_wave(p)) <= res.est_error
+        assert abs(res.value - ring_wave(p)) <= res.est_error
 
     @pytest.mark.parametrize("budget", [17, 24, 40])
     def test_rounds_never_pass_the_panel_budget(self, budget):
@@ -1038,7 +1121,7 @@ class TestSommerfeldPath:
             "from asx import ObservationPoint, gaussian, oracle_eval, parse_spectrum\n"
             "assert 'numpy.fft' not in sys.modules, 'importing asx loaded numpy.fft'\n"
             "oracle_eval(gaussian(2.0), ObservationPoint(30, 10, 4), 1.0)\n"
-            f"f = parse_spectrum({TRANSLATED_WEYL!r})\n"
+            f"f = parse_spectrum({RING!r})\n"
             "oracle_eval(f, ObservationPoint(30, 10, 4), 1.0)\n"
             "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
         )
@@ -1109,11 +1192,11 @@ class TestTailBound:
         assert abs(res.value - spherical_wave(p)) <= res.est_error
 
     @pytest.mark.parametrize("point", [(3, 4, 5), (0, 0, 5)], ids=["off-axis", "axis"])
-    @pytest.mark.parametrize("spectrum", ["weyl", TRANSLATED_WEYL], ids=["radial", "ring"])
+    @pytest.mark.parametrize("spectrum", ["weyl", RING], ids=["radial", "ring"])
     def test_only_a_radial_spectrum_off_axis_takes_the_envelope(self, spectrum, point):
         # the bound written out: max|f| on the 8 x 8 probe grid of s and
         # phi, times sqrt(2/(pi*k_rho(s_max)*rho)) for weyl off axis and 1
-        # for the translated Weyl and on axis
+        # for the cos ring and on axis
         from asx import parse_spectrum
         from asx.oracle import _Counter, _tail_bound
 

@@ -451,3 +451,102 @@ class TestRadialRule:
                 continue
             for value in values:
                 assert abs(value - row) <= 1e-12 * abs(row), f.label
+
+
+class TestShiftRule:
+    """parse_spectrum marks g*exp(i*(a*kx + b*ky + c*kz)) with the shift
+    (a, b, c) and the remainder g, and leaves the rest of f as it was."""
+
+    @pytest.mark.parametrize(
+        "src, shift, remainder, radial",
+        [
+            ("i/(2*pi*kz)*exp(-1.5*i*kx + 0.75*i*ky)", (-1.5, 0.75, 0.0), "i/(2*pi*kz)", True),
+            ("i/(2*pi*kz)*exp(-i*1.5*kx + i*0.75*ky)", (-1.5, 0.75, 0.0), "i/(2*pi*kz)", True),
+            ("exp(-i*(6*kx - 3*ky))", (-6.0, 3.0, 0.0), "1", True),
+            ("i/(2*pi*kz)*exp(0.5*i*kz)", (0.0, 0.0, 0.5), "i/(2*pi*kz)", True),
+            ("kx/exp(i*2*kx)", (-2.0, 0.0, 0.0), "kx", False),
+            ("2/(kz*exp(i*pi*ky))", (0.0, -math.pi, 0.0), "2/kz", True),
+            ("exp(-(kx^2+ky^2))*exp(i*kx/2)*kz", (0.5, 0.0, 0.0), "exp(-(kx^2+ky^2))*kz", True),
+        ],
+    )
+    def test_a_linear_phase_is_a_shift(self, src, shift, remainder, radial):
+        f = parse_spectrum(src)
+        assert f.shift == shift
+        assert f.remainder.label == remainder
+        assert f.remainder.radial == radial
+        assert f.remainder.shift is None
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "exp(-kx)",  # a real exponent
+            "exp(i*k0*kx)",  # k0 counts as a variable
+            "i/(2*pi*kz)*exp(-1.5*i*kx/k0 + 0.75*i*ky/k0)",
+            "1 + exp(i*kx)",  # a sum, not a chain
+            "exp(i*kx*ky)",  # not linear
+            "exp(i*kx)*exp(i*ky)",  # two such factors
+            "exp(i*kx + 1)",  # a constant term
+            "exp((1 + i)*kx)",  # a coefficient with a real part
+            "exp(i*kx/(1 - 1))",  # a divisor of value 0
+            "-exp(i*kx)",  # a sign is not a factor of the chain
+            "i*cos(1.5*kx - 0.75*ky)/(2*pi*kz)",
+        ],
+    )
+    def test_any_other_tree_carries_no_shift(self, src):
+        f = parse_spectrum(src)
+        assert f.shift is None and f.remainder is None
+
+    @pytest.mark.parametrize(
+        "src", ["i/(2*pi*kz)*exp(-1.5*i*kx + 0.75*i*ky)", "kx/exp(i*2*kx)", "exp(-i*(6*kx - 3*ky))"]
+    )
+    def test_f_itself_is_unchanged(self, src):
+        # label, radial mark and values are those of the whole tree, and f is
+        # the remainder times the phase exp(i*shift.k)
+        f = parse_spectrum(src)
+        tree = expr.parse_expression(src)
+        assert f.label == expr.format_expression(tree)
+        assert not f.radial
+        rng = np.random.default_rng(5)
+        kx, ky = rng.normal(size=(2, 50))
+        kz = np.sqrt(1.0 - kx * kx - ky * ky + 0j)
+        values = f.evaluate(kx, ky, kz, 1.0)
+        env = {"kx": kx, "ky": ky, "kz": kz, "k0": 1.0}
+        assert np.array_equal(values, expr.evaluate_tree(tree, env))
+        a, b, c = f.shift
+        phase = np.exp(1j * (a * kx + b * ky + c * kz))
+        assert_allclose(f.remainder.evaluate(kx, ky, kz, 1.0) * phase, values, rtol=1e-13)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        g=TREES,
+        coefficients=st.tuples(*[st.integers(-3, 3)] * 3),
+        divides=st.booleans(),
+        first=st.booleans(),
+    )
+    def test_the_remainder_times_the_phase_is_f(self, g, coefficients, divides, first):
+        # g times or over exp(i*(a*kx + b*ky + c*kz)), in either order: the
+        # shift is found unless g holds such a factor of its own, and f is
+        # the remainder times exp(i*shift.k) wherever both evaluate
+        terms = [
+            expr.BinOp("*", expr.Number(float(abs(a))), expr.Name(name))
+            for a, name in zip(coefficients, ("kx", "ky", "kz"))
+        ]
+        form = expr.Number(0.0)
+        for a, term in zip(coefficients, terms):
+            form = expr.BinOp("-" if a < 0 else "+", form, term)
+        phase = expr.Call("exp", expr.BinOp("*", expr.Name("i"), form))
+        pair = (g, phase) if first else (phase, g)
+        tree = expr.BinOp("/" if divides else "*", *pair)
+        f = parse_spectrum(expr.format_expression(tree))
+        assume(f.shift is not None)
+        sign = -1.0 if divides and first else 1.0
+        assert f.shift == tuple(sign * a + 0.0 for a in coefficients)
+        kx, ky = np.array([0.3, -1.1, 2.5]), np.array([0.7, 0.2, -0.4])
+        kz = np.array([0.6, 0.9j, 2.1j])
+        try:
+            value = f.evaluate(kx, ky, kz, 1.0)
+            rest = f.remainder.evaluate(kx, ky, kz, 1.0)
+        except SpectrumEvaluationError:  # an overflow or a pole: no claim
+            return
+        turn = np.exp(1j * (f.shift[0] * kx + f.shift[1] * ky + f.shift[2] * kz))
+        assert_allclose(rest * turn, value, rtol=1e-12, atol=1e-300)
