@@ -11,19 +11,17 @@ then weyl, tweyl, dipole (``i*kx/(2*pi*kz)``) and ring (the Weyl times
 three points near grazing: (299.9, 0, 0.5), (299.9, 0, 5) and (100, 0, 3).
 The dipole and the ring are the ring path's cost: no shift is found in
 either.  Each case records seconds, ``evaluations``, ``est_error``,
-``converged``, ``path`` ("radial" where the oracle takes its J0 path,
-"ring" where it samples rings of f; a spectrum with a shift takes the path
-of its remainder) and the true error where an exact form exists (the Weyl
-spectra are spherical waves, from perfbench/reference.py, the dipole is
+``converged``, ``path`` ("radial" where the oracle took its J0 path, "ring"
+where it sampled rings of f; a spectrum with a shift takes the path of its
+remainder where the oracle integrates that at the shifted point) and the
+true error where an exact form exists (the Weyl spectra are spherical
+waves, from perfbench/reference.py, the dipole is
 ``(x/r)*(1 + i/r)*exp(i*r)/r``).  It also records ``spectrum_calls``, the
-calls the oracle made to the spectrum it integrates (the remainder of one
-with a shift), counted in a second, untimed run through a recording
-wrapper around that spectrum's ``evaluate``, and ``peak_mb``, the peak of
+calls the oracle made to the spectrum it integrated (f, or the remainder
+of its shift), counted in a second, untimed run through recording
+wrappers around the ``evaluate`` of both, and ``peak_mb``, the peak of
 the allocations tracemalloc traced in that run (numpy's arrays included),
-in MB of 2^20 bytes.  A case the oracle refuses with a ConfigError (tweyl
-on axis at k0*r = 300, which the shift takes beyond the envelope) records
-the message as ``refused`` in place of the numbers, and the comparisons
-below skip it.
+in MB of 2^20 bytes.
 Then it runs the 72-case honesty grid, exact Weyl at theta in
 {1, .9, .7, .5, .3, .15}, k0*r in {5, 20, 80, 250} and rel_tol in
 {1e-4, 1e-7, 1e-10}, and keeps the worst ratio of true error to
@@ -45,9 +43,8 @@ side's worst ratio of true error to ``est_error`` over the matrix cases
 with an exact form, beside that of the grid, and each side's largest
 ``peak_mb``.  Beside them it gives each side's summed ``evaluations`` and
 ``spectrum_calls`` (``summed_counts``), over all cases and over the 36
-theta x k0*r cases, both over the cases answered on both sides, which a
-claim on cost can rest on where the seconds spread too wide to resolve
-it, the cases each side ``refused``, and the grid's worst true error over
+theta x k0*r cases, which a claim on cost can rest on where the seconds
+spread too wide to resolve it, and the grid's worst true error over
 ``rel_tol`` (``honesty_worst_error_over_tol``).  Needs only the standard
 library and what asx itself imports (numpy).
 """
@@ -104,7 +101,6 @@ def measure(src: str) -> dict:
     """Run the matrix and the honesty grid on the asx found in src."""
     sys.path.insert(0, src)
     from asx import (
-        ConfigError,
         ObservationPoint,
         QuadratureConfig,
         builtin_spectrum,
@@ -114,25 +110,28 @@ def measure(src: str) -> dict:
     )
     from asx.harness import point_from_parameters
 
-    def untimed(f, p) -> tuple[int, float]:
-        """Spectrum calls and peak traced MB of one run, the calls counted on
-        the spectrum the oracle integrates."""
-        calls = []
+    def untimed(f, p) -> tuple[int, float, str]:
+        """Spectrum calls, peak traced MB and path of one run, the calls
+        counted on the spectrum the oracle integrated: f, or the remainder of
+        its shift (a checkout without the shift rule has no ``shifted``)."""
+        called = []
 
         def recorded(g):
             def recording(kx, ky, kz, k0):
-                calls.append(None)
+                called.append(g)
                 return g.evaluate(kx, ky, kz, k0)
 
             return dataclasses.replace(g, _fn=recording)
 
-        taken = integrated(f)
-        probe = recorded(f) if taken is f else dataclasses.replace(f, remainder=recorded(taken))
+        probe = recorded(f)
+        shifted = getattr(f, "shifted", None)
+        if shifted is not None:
+            probe = dataclasses.replace(probe, shifted=(shifted[0], recorded(shifted[1])))
         tracemalloc.start()
         oracle_eval(probe, p, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        return len(calls), peak / 2**20
+        return len(called), peak / 2**20, "radial" if called[0].radial else "ring"
 
     points = [
         (key, theta, k0r, point_from_parameters(theta, k0r, 1.0, AZIMUTH))
@@ -150,18 +149,16 @@ def measure(src: str) -> dict:
     for key, theta, k0r, p in points:
         builtin = reference.SPECTRA.get(key, (None,))[0]
         f = builtin_spectrum(builtin) if builtin else parse_spectrum(spectrum_text(key))
-        case = {"spectrum": key, "theta": theta, "k0r": k0r, "point": [p.x, p.y, p.z]}
-        cases.append(case)
         start = time.perf_counter()
-        try:
-            res = oracle_eval(f, p, 1.0)
-        except ConfigError as exc:
-            case["refused"] = str(exc)
-            continue
+        res = oracle_eval(f, p, 1.0)
         seconds = time.perf_counter() - start
-        calls, peak_mb = untimed(f, p)
-        case.update(
+        calls, peak_mb, path = untimed(f, p)
+        cases.append(
             {
+                "spectrum": key,
+                "theta": theta,
+                "k0r": k0r,
+                "point": [p.x, p.y, p.z],
                 "seconds": seconds,
                 "value": [res.value.real, res.value.imag],
                 "evaluations": res.evaluations,
@@ -170,7 +167,7 @@ def measure(src: str) -> dict:
                 "est_error": res.est_error,
                 "true_error": abs(res.value - exact(key, p)) if key in EXACT else None,
                 "converged": res.converged,
-                "path": "radial" if integrated(f).radial else "ring",
+                "path": path,
             }
         )
     ratios, over_tol = [], []
@@ -194,12 +191,6 @@ def measure(src: str) -> dict:
     }
 
 
-def integrated(f):
-    """The spectrum oracle_eval integrates: the remainder of one with a
-    shift, f itself on a checkout that finds none."""
-    return getattr(f, "remainder", None) or f
-
-
 def run_side(src: Path) -> dict:
     proc = subprocess.run(
         [sys.executable, __file__, "--measure", str(src)],
@@ -215,13 +206,11 @@ def combine(runs: list[dict]) -> dict:
     the other fields are deterministic and taken from the first run."""
     first = runs[0]
     for i, case in enumerate(first["cases"]):
-        if "refused" in case:
-            continue
         seconds = [run["cases"][i]["seconds"] for run in runs]
         case["seconds"] = statistics.median(seconds)
         case["seconds_range"] = [min(seconds), max(seconds)]
     first["honesty"]["seconds"] = statistics.median(run["honesty"]["seconds"] for run in runs)
-    first["matrix_seconds"] = sum(case.get("seconds", 0.0) for case in first["cases"])
+    first["matrix_seconds"] = sum(case["seconds"] for case in first["cases"])
     return first
 
 
@@ -237,7 +226,7 @@ def matrix_worst_ratio(side: dict) -> float:
     return max(
         case["true_error"] / case["est_error"]
         for case in side["cases"]
-        if case.get("true_error") is not None
+        if case["true_error"] is not None
     )
 
 
@@ -260,14 +249,7 @@ def main(argv: list[str] | None = None) -> int:
             runs[side].append(run_side(src))
     before, after = combine(runs["before"]), combine(runs["after"])
 
-    # the cases answered on both sides, by index
-    answered = [
-        i
-        for i, (b, a) in enumerate(zip(before["cases"], after["cases"]))
-        if "refused" not in b and "refused" not in a
-    ]
-    for i in answered:
-        b, a = before["cases"][i], after["cases"][i]
+    for b, a in zip(before["cases"], after["cases"]):
         vb, va = complex(*b["value"]), complex(*a["value"])
         a["value_rel_change"] = abs(va - vb) / abs(vb)
         a["value_change_over_est_error"] = abs(va - vb) / b["est_error"]
@@ -276,24 +258,18 @@ def main(argv: list[str] | None = None) -> int:
     keys = [*SPECTRA, *RING_SPECTRA]
 
     def by_spectrum(field: str, reduce) -> dict:
-        cases = [after["cases"][i] for i in answered]
-        return {key: reduce([c[field] for c in cases if c["spectrum"] == key]) for key in keys}
+        return {
+            key: reduce([a[field] for a in after["cases"] if a["spectrum"] == key]) for key in keys
+        }
 
-    radial = [
-        i for i in answered if before["cases"][i]["path"] == after["cases"][i]["path"] == "radial"
-    ]
+    radial = [b["path"] == a["path"] == "radial" for b, a in zip(before["cases"], after["cases"])]
     grid = len(SPECTRA) * len(THETAS) * len(K0RS)  # the theta x k0r cases come first
 
     def summed(field: str) -> dict:
         return {
-            cases: [
-                sum(side["cases"][i][field] for i in answered if i < stop) for side in (before, after)
-            ]
-            for cases, stop in (("all", len(after["cases"])), ("theta_k0r", grid))
+            cases: [sum(c[field] for c in side["cases"][:stop]) for side in (before, after)]
+            for cases, stop in (("all", None), ("theta_k0r", grid))
         }
-
-    def over(side: dict, field: str) -> list:
-        return [c[field] for c in side["cases"] if "refused" not in c]
 
     report = {
         "matrix": "oracle_eval, rel_tol 1e-7, k0 1, azimuth 0.4; "
@@ -306,16 +282,13 @@ def main(argv: list[str] | None = None) -> int:
         "after": after,
         "summary": {
             "identical_cases": [
-                sum(identical(before["cases"][i], after["cases"][i]) for i in answered),
+                sum(identical(b, a) for b, a in zip(before["cases"], after["cases"])),
                 len(after["cases"]),
             ],
-            "refused": {
-                side: [[c["spectrum"], c["point"], c["refused"]] for c in cases if "refused" in c]
-                for side, cases in (("before", before["cases"]), ("after", after["cases"]))
-            },
             "matrix_seconds": [before["matrix_seconds"], after["matrix_seconds"]],
             "radial_seconds": [
-                sum(side["cases"][i]["seconds"] for i in radial) for side in (before, after)
+                sum(case["seconds"] for case, r in zip(side["cases"], radial) if r)
+                for side in (before, after)
             ],
             "honesty_worst_ratio": [
                 before["honesty"]["worst_ratio"],
@@ -330,14 +303,20 @@ def main(argv: list[str] | None = None) -> int:
             "max_value_change_over_est_error": by_spectrum("value_change_over_est_error", max),
             "evaluations_change": by_spectrum("evaluations_change", lambda c: [min(c), max(c)]),
             "spectrum_calls": {
-                side: [min(over(cases, "spectrum_calls")), max(over(cases, "spectrum_calls"))]
-                for side, cases in (("before", before), ("after", after))
+                side: [min(calls), max(calls)]
+                for side, calls in (
+                    ("before", [b["spectrum_calls"] for b in before["cases"]]),
+                    ("after", [a["spectrum_calls"] for a in after["cases"]]),
+                )
             },
             "summed_counts": {field: summed(field) for field in ("evaluations", "spectrum_calls")},
-            "peak_mb": [max(over(before, "peak_mb")), max(over(after, "peak_mb"))],
+            "peak_mb": [
+                max(b["peak_mb"] for b in before["cases"]),
+                max(a["peak_mb"] for a in after["cases"]),
+            ],
             "converged_not_worse": all(
-                after["cases"][i]["converged"] or not before["cases"][i]["converged"]
-                for i in answered
+                a["converged"] or not b["converged"]
+                for a, b in zip(after["cases"], before["cases"])
             ),
         },
     }

@@ -52,10 +52,9 @@ design optimizes for controlled error rather than speed:
   and with est_error = inf: no bound holds for a row it cannot resolve;
 * a spectrum with a shift, f = g*exp(i*(a*kx + b*ky + c*kz)) (see
   parse_spectrum), is integrated as its remainder g at p + (a, b, c), the
-  shift theorem, on the radial path when g is radial: the envelope holds at
-  p and at the shifted point, the cutoff and the bandwidth at the shifted
-  point, and a shifted z <= 0, where the integral does not converge, is
-  refused.
+  shift theorem, on the radial path when g is radial, where the shifted
+  point has z > 0 and passes the envelope, the cutoff and the bandwidth;
+  elsewhere f itself is integrated at p, as any other spectrum is.
 
 Cost grows with k0*r (and, for a parsed spectrum, with the bandwidth of f),
 so the oracle refuses k0*r above ORACLE_K0R_ENVELOPE.  Identical inputs
@@ -524,29 +523,15 @@ def _evanescent_cutoff(z: float, k_max: float, rel_tol: float) -> tuple[float, f
     return s_max, s_cap
 
 
-def _check_envelope(k0r: float, where: str = "") -> None:
+def _check_envelope(k0r: float) -> None:
     """Refuse k0*r beyond ORACLE_K0R_ENVELOPE, with a few ulps of slack:
     sweep points at the envelope are rebuilt from (theta, k0r) and carry
     rounding in r."""
     if not k0r <= ORACLE_K0R_ENVELOPE * (1.0 + 1e-12):
         raise ConfigError(
-            f"k0*r = {k0r:g}{where} is outside the oracle's desk-scale envelope "
+            f"k0*r = {k0r:g} is outside the oracle's desk-scale envelope "
             f"k0*r <= {ORACLE_K0R_ENVELOPE:g}"
         )
-
-
-def _shifted(f: SpectrumFunction, p: ObservationPoint, k0: float) -> ObservationPoint:
-    """The point at which f's remainder is integrated, p + f.shift: refused
-    at z <= 0, where the integral does not converge, and beyond the
-    envelope."""
-    x, y, z = (a + b for a, b in zip((p.x, p.y, p.z), f.shift))
-    shift = "(" + ", ".join(f"{v:g}" for v in f.shift) + ")"
-    named = f"spectrum {f.label!r} shifts the point by {shift}"
-    if not z > 0.0:
-        raise DomainError(f"{named} to z = {z:g}, where its integral does not converge")
-    at = ObservationPoint(x, y, z)
-    _check_envelope(k0 * at.r, f" at the shifted point ({named})")
-    return at
 
 
 def _check_bandwidth(p: ObservationPoint, s_max: float) -> None:
@@ -559,6 +544,34 @@ def _check_bandwidth(p: ObservationPoint, s_max: float) -> None:
             f"azimuthal bandwidth k_rho*rho_xy = {widest:.3g} is beyond the "
             "oracle's reach: the observation point is too close to grazing"
         )
+
+
+def _scaled(p: ObservationPoint, k0: float, cfg: QuadratureConfig):
+    """p in units of 1/k0 and the evanescent cutoff (s_max, s_cap) there,
+    once the cutoff and the bandwidth pass their checks."""
+    s_max, s_cap = _evanescent_cutoff(k0 * p.z, cfg.k_max / k0, cfg.rel_tol)
+    q = ObservationPoint(k0 * p.x, k0 * p.y, k0 * p.z)  # the cutoff refused k0*z = 0
+    _check_bandwidth(q, s_max)
+    return q, s_max, s_cap
+
+
+def _integrated(f: SpectrumFunction, p: ObservationPoint, k0: float, cfg: QuadratureConfig):
+    """The spectrum integrated, the point it is integrated at in units of
+    1/k0, and the cutoff (s_max, s_cap) there.  A spectrum with a shift is
+    integrated as its remainder g at p + shift, the shift theorem, where
+    that point passes the oracle's checks (z > 0, the envelope, the cutoff
+    and the bandwidth).  Elsewhere f itself is integrated at p, whose
+    checks stand: there a g that decays in the evanescent region converges,
+    and one that does not ends in DivergenceError."""
+    if f.shifted is not None:
+        shift, g = f.shifted
+        try:
+            at = ObservationPoint(*(a + b for a, b in zip((p.x, p.y, p.z), shift)))
+            _check_envelope(k0 * at.r)
+            return (g, *_scaled(at, k0, cfg))
+        except (ConfigError, DomainError):
+            pass  # f at p
+    return (f, *_scaled(p, k0, cfg))
 
 
 def _tail_bound(f, p, k0, s_max, count) -> float:
@@ -596,10 +609,9 @@ def oracle_eval(
     panel budget, the k_max cap, the rounding floor of the panel errors,
     or the azimuthal node cap, which sets ``est_error`` inf) the last value
     is returned with ``converged=False`` and ``limit`` naming it.  A
-    spectrum with a shift is integrated as its remainder at p + shift, with
-    the same value and est_error; a shifted z <= 0 is a
-    :class:`~asx.errors.DomainError`, and k0*r beyond the envelope at either
-    point a :class:`~asx.errors.ConfigError`.  A
+    spectrum with a shift is integrated as its remainder at p + shift where
+    that point has z > 0 and passes the envelope, cutoff and bandwidth
+    checks, and as itself at p elsewhere.  A
     persistently growing error estimate under refinement raises
     :class:`~asx.errors.DivergenceError`, and a value or error estimate that
     is not finite (a spectrum large enough to overflow the sums) raises
@@ -613,12 +625,7 @@ def oracle_eval(
     _check_envelope(k0 * p.r)
     if cfg.k_max <= k0:
         raise ConfigError(f"k_max must exceed k0, got k_max={cfg.k_max} with k0={k0}")
-    g, at = f, p  # the spectrum integrated and the point it is integrated at
-    if f.shift is not None:
-        g, at = f.remainder, _shifted(f, p, k0)
-    s_max, s_cap = _evanescent_cutoff(k0 * at.z, cfg.k_max / k0, cfg.rel_tol)
-    q = ObservationPoint(k0 * at.x, k0 * at.y, k0 * at.z)  # the cutoff refused k0*z = 0
-    _check_bandwidth(q, s_max)
+    g, q, s_max, s_cap = _integrated(f, p, k0, cfg)
     count = _Counter()
     # worst-first; on equal errors the propagating leg, then the left edge
     heap: list[tuple[float, int, float, float, complex]] = []

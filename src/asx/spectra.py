@@ -51,18 +51,18 @@ class SpectrumFunction:
     spectrum it takes the Fourier coefficients of f from a ring of samples
     on the circle and sums them against J_m(k_rho*rho_xy).
 
-    ``shift`` marks a parsed f = g*exp(i*(a*kx + b*ky + c*kz)) with real
-    constants a, b, c, and ``remainder`` is g (see :func:`parse_spectrum`):
-    by the shift theorem the integral of f at p is that of g at p + shift,
-    where the oracle takes it.  ``label``, ``radial`` and :meth:`evaluate`
-    describe f itself.  Any other spectrum has neither.
+    ``shifted`` is the shift (a, b, c) and the remainder g of a parsed
+    f = g*exp(i*(a*kx + b*ky + c*kz)) with real constants a, b, c (see
+    :func:`parse_spectrum`), and None for any other spectrum: by the shift
+    theorem the integral of f at p is that of g at p + (a, b, c), where the
+    oracle takes it when it can.  ``label``, ``radial`` and :meth:`evaluate`
+    describe f itself.
     """
 
     label: str
     radial: bool
     _fn: Callable = field(repr=False, compare=False)
-    shift: tuple[float, float, float] | None = None
-    remainder: SpectrumFunction | None = field(default=None, repr=False, compare=False)
+    shifted: tuple[tuple[float, float, float], SpectrumFunction] | None = None
 
     def evaluate(self, kx, ky, kz, k0: float):
         """Evaluate at scalars or numpy arrays; faults raise
@@ -269,12 +269,12 @@ def _shift(tree: expr.Node) -> tuple[tuple[float, float, float], expr.Node] | No
     return shift, expr.Number(1.0) if rest is None else rest
 
 
-def _tree_spectrum(tree: expr.Node, **shifted) -> SpectrumFunction:
+def _tree_spectrum(tree: expr.Node, shifted=None) -> SpectrumFunction:
     def fn(kx, ky, kz, k0):
         return expr.evaluate_tree(tree, {"kx": kx, "ky": ky, "kz": kz, "k0": k0})
 
     label = expr.format_expression(tree)
-    return SpectrumFunction(label=label, radial=_is_radial(tree), _fn=fn, **shifted)
+    return SpectrumFunction(label=label, radial=_is_radial(tree), _fn=fn, shifted=shifted)
 
 
 def parse_spectrum(src: str) -> SpectrumFunction:
@@ -294,7 +294,7 @@ def parse_spectrum(src: str) -> SpectrumFunction:
     ``exp(i*(a*kx + b*ky + c*kz))``, its coefficients real constants built
     from numbers, ``i`` and ``pi`` and no constant term, carries the shift
     (a, b, c), negated for a divisor, and the chain without that factor as
-    its ``remainder``, radial or not by the test above:
+    its remainder, radial or not by the test above, in ``shifted``:
     ``i/(2*pi*kz)*exp(-1.5*i*kx + 0.75*i*ky)`` is the Weyl spectrum shifted
     by (-1.5, 0.75, 0).  This rule is syntactic and conservative too.
     ``k0`` counts as a variable, so ``exp(i*kx/k0)`` carries no shift, and
@@ -305,7 +305,5 @@ def parse_spectrum(src: str) -> SpectrumFunction:
     """
     tree = expr.parse_expression(src)
     found = _shift(tree)
-    if found is None:
-        return _tree_spectrum(tree)
-    shift, rest = found
-    return _tree_spectrum(tree, shift=shift, remainder=_tree_spectrum(rest))
+    shifted = None if found is None else (found[0], _tree_spectrum(found[1]))
+    return _tree_spectrum(tree, shifted)

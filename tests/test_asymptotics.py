@@ -283,8 +283,8 @@ class TestShiftedSpectra:
         from asx import point_from_parameters
 
         f = parse_spectrum(src)
-        assert f.shift is not None
-        plain = dataclasses.replace(f, shift=None, remainder=None)
+        assert f.shifted is not None
+        plain = dataclasses.replace(f, shifted=None)
         for theta, k0r in ((1.0, 50.0), (0.7, 20.0), (0.3, 300.0), (0.05, 1e4)):
             p = point_from_parameters(theta, k0r, 1.0, 0.4)
             assert repr(leading_order(f, p, 1.0)) == repr(leading_order(plain, p, 1.0))

@@ -524,10 +524,13 @@ BAD_INPUTS = [
     ("eval --spectrum constant --k0 1e-160 --point 0,0,2e161", 3, 0),
     # the azimuthal bandwidth at the initial cutoff is refused before any panel
     ("oracle --spectrum weyl --point 3,0,1e-4", 3, 0),
-    # a shift to z + c <= 0, where the integral does not converge, and one
-    # beyond the envelope k0*r <= 300
-    ("oracle --spectrum-expr i/(2*pi*kz)*exp(-2*i*kz) --point 3,4,1", 3, 0),
-    ("oracle --spectrum-expr i/(2*pi*kz)*exp(5*i*kx) --point 299,0,1", 2, 0),
+    # a shift to z + c <= 0 is not taken and f is integrated at p: there a
+    # Gaussian beam converges and a Weyl, which does not decay, diverges
+    ("oracle --spectrum-expr exp(-(kx^2+ky^2))*exp(-2*i*kz) --point 0,0,1", 0, 1),
+    ("oracle --spectrum-expr i/(2*pi*kz)*exp(-2*i*kz) --point 3,4,1", 4, 0),
+    # the envelope k0*r <= 300 holds at p, though the shift takes it to
+    # (295, 0, 1)
+    ("oracle --spectrum-expr i/(2*pi*kz)*exp(-10*i*kx) --point 305,0,1", 2, 0),
     ("compare --spectrum constant --theta 0.8 --k0r-grid 20:x:4", 2, 0),
     ("compare --spectrum constant --theta 0.8 --k0r-grid 100:20:4", 2, 0),
     ("compare --spectrum constant --theta 0.8 --k0r-grid 20:100:0", 2, 0),

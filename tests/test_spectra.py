@@ -471,10 +471,9 @@ class TestShiftRule:
     )
     def test_a_linear_phase_is_a_shift(self, src, shift, remainder, radial):
         f = parse_spectrum(src)
-        assert f.shift == shift
-        assert f.remainder.label == remainder
-        assert f.remainder.radial == radial
-        assert f.remainder.shift is None
+        assert f.shifted[0] == shift
+        rest = f.shifted[1]
+        assert (rest.label, rest.radial, rest.shifted) == (remainder, radial, None)
 
     @pytest.mark.parametrize(
         "src",
@@ -494,7 +493,7 @@ class TestShiftRule:
     )
     def test_any_other_tree_carries_no_shift(self, src):
         f = parse_spectrum(src)
-        assert f.shift is None and f.remainder is None
+        assert f.shifted is None
 
     @pytest.mark.parametrize(
         "src", ["i/(2*pi*kz)*exp(-1.5*i*kx + 0.75*i*ky)", "kx/exp(i*2*kx)", "exp(-i*(6*kx - 3*ky))"]
@@ -512,9 +511,9 @@ class TestShiftRule:
         values = f.evaluate(kx, ky, kz, 1.0)
         env = {"kx": kx, "ky": ky, "kz": kz, "k0": 1.0}
         assert np.array_equal(values, expr.evaluate_tree(tree, env))
-        a, b, c = f.shift
+        (a, b, c), rest = f.shifted
         phase = np.exp(1j * (a * kx + b * ky + c * kz))
-        assert_allclose(f.remainder.evaluate(kx, ky, kz, 1.0) * phase, values, rtol=1e-13)
+        assert_allclose(rest.evaluate(kx, ky, kz, 1.0) * phase, values, rtol=1e-13)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -538,15 +537,16 @@ class TestShiftRule:
         pair = (g, phase) if first else (phase, g)
         tree = expr.BinOp("/" if divides else "*", *pair)
         f = parse_spectrum(expr.format_expression(tree))
-        assume(f.shift is not None)
+        assume(f.shifted is not None)
+        shift, remainder = f.shifted
         sign = -1.0 if divides and first else 1.0
-        assert f.shift == tuple(sign * a + 0.0 for a in coefficients)
+        assert shift == tuple(sign * a + 0.0 for a in coefficients)
         kx, ky = np.array([0.3, -1.1, 2.5]), np.array([0.7, 0.2, -0.4])
         kz = np.array([0.6, 0.9j, 2.1j])
         try:
             value = f.evaluate(kx, ky, kz, 1.0)
-            rest = f.remainder.evaluate(kx, ky, kz, 1.0)
+            rest = remainder.evaluate(kx, ky, kz, 1.0)
         except SpectrumEvaluationError:  # an overflow or a pole: no claim
             return
-        turn = np.exp(1j * (f.shift[0] * kx + f.shift[1] * ky + f.shift[2] * kz))
+        turn = np.exp(1j * (shift[0] * kx + shift[1] * ky + shift[2] * kz))
         assert_allclose(rest * turn, value, rtol=1e-12, atol=1e-300)
