@@ -7,14 +7,15 @@ design optimizes for controlled error rather than speed:
   in f's arguments; each part and est_error scale back by k0*(k0*part);
 * polar spectral coordinates (k_rho, phi); the radial integral runs along
   one contour in the kz plane with two legs that meet at the branch circle
-  k_rho = 1, the only non-smooth locus of the integrand;
-* the propagating leg is kz in [0, 1] (k_rho dk_rho = -kz dkz), which
+  k_rho = 1, the only non-smooth locus of the integrand, in one variable t
+  whose sign is the leg, and the integrand |t|*exp(i*kz*z)*Phi on both;
+* the propagating leg is t = kz in [0, 1] (k_rho dk_rho = -kz dkz), which
   turns the 1/kz Weyl-type singularity into a smooth integrand;
-* the evanescent leg is kz = i*s with s = sqrt(k_rho^2 - 1), so the
-  weight becomes exp(-s*z) and the truncation point s_max is chosen where
-  exp(-s*z) < rel_tol/100; the tail beyond it is bounded by the probed
-  max|f|, times J0's envelope sqrt(2/(pi*k_rho*rho_xy)) for a radial
-  spectrum off axis;
+* the evanescent leg is t = -s <= 0 (kz = -i*t = i*s, s = sqrt(k_rho^2 -
+  1)), so the weight becomes exp(-s*z) and the truncation point s_max is
+  chosen where exp(-s*z) < rel_tol/100; the tail beyond it is bounded by
+  the probed max|f|, times J0's envelope sqrt(2/(pi*k_rho*rho_xy)) for a
+  radial spectrum off axis;
 * the azimuthal integral is a Bessel sum by the Jacobi-Anger expansion,
   2*pi*sum_m c_m*i^m*J_m(k_rho*rho_xy)*exp(i*m*phi0) with phi0 the azimuth
   of the point and c_m the Fourier coefficients of f alone on the circle
@@ -38,11 +39,11 @@ design optimizes for controlled error rather than speed:
   once, and from there on from Hankel's expansion for J0 and J1 followed by
   the forward recurrence; orders where (x/2)^m/m! <= e^-42 at the call's
   largest x are left out of the sum;
-* both legs share one heap of 21-point Gauss-Kronrod panels (interior
-  nodes, so the branch circle is never evaluated), split in rounds until
-  their summed |K21 - G10| and the tail bound meet rel_tol * |value|; a
-  leg's initial panels, a tail extension and a leg's halves of a round are
-  evaluated 195 panels a call;
+* one heap of 21-point Gauss-Kronrod panels in t (interior nodes, so the
+  branch circle t = 0, an edge from the start, is never evaluated) is split
+  in rounds until their summed |K21 - G10| and the tail bound meet
+  rel_tol * |value|; the initial panels, a tail extension and a round's
+  halves are evaluated 195 panels a call, whichever leg they lie on;
 * a leg starts with at least 8 panels of _phase_span(rel_tol) of phase
   each (11.1 rad at rel_tol 1e-7): uniform in s on the evanescent leg, and
   on the propagating leg uniform in the polar angle, kz = sin(pi*j/(2n)),
@@ -114,7 +115,6 @@ _RING_START = 32  # nodes of the first ring of f on each circle
 # The orders cut from a ring's Bessel sum may take this share of its floor:
 # the cut error is spent in full, unlike the tail the doubling test bounds
 _CUT_SHARE = 1e-3
-_PROP, _EVAN = 0, 1  # legs of the kz contour: kz in [0, 1], then kz = i*s
 # J0 and J1 take Hankel's expansion from this edge on, and every J_m below it
 # takes Bessel's integral
 _J_HANKEL_EDGE = 25.0
@@ -472,15 +472,15 @@ def _phi_integrals(
     return out
 
 
-def _leg_integrand(f, p, k0: float, rel_tol: float, count: _Counter, leg: int, t):
-    """A leg's radial integrand at its variable t (units of k0, p in 1/k0):
-    kz*exp(i*kz*z)*Phi on the propagating leg (t = kz), s*exp(-s*z)*Phi on the
-    evanescent one (t = s, kz = i*s), with Phi from _phi_integrals."""
-    if leg == _PROP:
-        krho = np.sqrt(np.maximum(1.0 - t * t, 0.0))
-        return t * np.exp(1j * t * p.z) * _phi_integrals(f, krho, t, p, k0, rel_tol, count)
-    krho = np.sqrt(1.0 + t * t)
-    return t * np.exp(-t * p.z) * _phi_integrals(f, krho, 1j * t, p, k0, rel_tol, count)
+def _integrand(f, p, k0: float, rel_tol: float, count: _Counter, t):
+    """The radial integrand |t|*exp(i*kz*z)*Phi at the contour's one variable
+    t (units of k0, p in 1/k0), with Phi from _phi_integrals: t = kz in
+    [0, 1] on the propagating leg, k_rho = sqrt(1 - t^2), and t = -s <= 0 on
+    the evanescent one, kz = -i*t and k_rho = sqrt(1 + t^2)."""
+    evanescent = t < 0.0
+    krho = np.sqrt(np.where(evanescent, 1.0 + t * t, np.maximum(1.0 - t * t, 0.0)))
+    kz = np.where(evanescent, -1j * t, t)
+    return np.abs(t) * np.exp(1j * kz * p.z) * _phi_integrals(f, krho, kz, p, k0, rel_tol, count)
 
 
 def _panels(h, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -627,16 +627,15 @@ def oracle_eval(
         raise ConfigError(f"k_max must exceed k0, got k_max={cfg.k_max} with k0={k0}")
     g, q, s_max, s_cap = _integrated(f, p, k0, cfg)
     count = _Counter()
-    # worst-first; on equal errors the propagating leg, then the left edge
-    heap: list[tuple[float, int, float, float, complex]] = []
+    h = functools.partial(_integrand, g, q, k0, cfg.rel_tol, count)
+    # worst-first; on equal errors the left edge
+    heap: list[tuple[float, float, float, complex]] = []
 
-    def push(leg: int, lo: np.ndarray, hi: np.ndarray):  # panels [lo[i], hi[i]] of a leg
-        h = functools.partial(_leg_integrand, g, q, k0, cfg.rel_tol, count, leg)
+    def push(lo: np.ndarray, hi: np.ndarray):  # panels [lo[i], hi[i]] in t
         for start in range(0, lo.size, _PANEL_BATCH):
             a, b = lo[start : start + _PANEL_BATCH], hi[start : start + _PANEL_BATCH]
             fine, errors = _panels(h, a, b)
-            entries = zip((-errors).tolist(), [leg] * a.size, a.tolist(), b.tolist(), fine.tolist())
-            for entry in entries:
+            for entry in zip((-errors).tolist(), a.tolist(), b.tolist(), fine.tolist()):
                 heapq.heappush(heap, entry)
 
     values, best_err, limit = [0j, 0j], math.inf, ""
@@ -648,22 +647,22 @@ def oracle_eval(
         # a, while in kz the J0 argument rho*sqrt(1 - kz^2) speeds up without
         # bound as kz -> 1
         span = _phase_span(cfg.rel_tol)
-        for leg, phase in ((_PROP, q.r * math.pi / 2.0), (_EVAN, q.rho_xy * s_max)):
-            n = max(8, min(math.ceil(phase / span), cfg.max_panels // 4))
-            if leg == _PROP:
-                edges = np.sin(np.linspace(0.0, 0.5 * math.pi, n + 1))
-            else:
-                edges = np.linspace(0.0, s_max, n + 1)
-            push(leg, edges[:-1], edges[1:])
+        n_prop, n_evan = (
+            max(8, min(math.ceil(phase / span), cfg.max_panels // 4))
+            for phase in (q.r * math.pi / 2.0, q.rho_xy * s_max)
+        )
+        kz = np.sin(np.linspace(0.0, 0.5 * math.pi, n_prop + 1))
+        s = np.linspace(0.0, s_max, n_evan + 1)
+        push(np.concatenate((kz[:-1], -s[1:])), np.concatenate((kz[1:], -s[:-1])))
         tail = _tail_bound(g, q, k0, s_max, count)
         while True:
-            # per leg, panels left to right: the sums depend on the panel set only
-            values, errors = [0.0 + 0.0j, 0.0 + 0.0j], [0.0, 0.0]
-            for neg_err, leg, _, _, value in sorted(heap, key=lambda e: e[1:3]):
-                values[leg] += value
-                errors[leg] -= neg_err
-            total = values[_PROP] + values[_EVAN]
-            err = errors[_PROP] + errors[_EVAN] + tail
+            # panels left to right, the propagating (lo >= 0) and evanescent
+            # (lo < 0) parts apart: the sums depend on the panel set only
+            values, err = [0.0 + 0.0j, 0.0 + 0.0j], 0.0
+            for neg_err, lo, _, value in sorted(heap, key=lambda e: e[1]):
+                values[lo < 0.0] += value
+                err -= neg_err
+            total, err = values[0] + values[1], err + tail
             if not (math.isfinite(err) and cmath.isfinite(total)):
                 raise SpectrumEvaluationError(
                     f"spectrum {f.label!r} overflows the oracle's sums: "
@@ -683,13 +682,13 @@ def oracle_eval(
             # When the truncation bound dominates, pushing s_max out is the only
             # move that helps; each extension drops the bound a hundredfold.
             if tail >= 0.5 * err:
-                edges = np.linspace(s_max, s_max + math.log(100.0) / q.z, 5)
-                if edges[-1] > s_cap:
+                s = np.linspace(s_max, s_max + math.log(100.0) / q.z, 5)
+                if s[-1] > s_cap:
                     limit = f"the evanescent cap k_max={cfg.k_max:g}"
                     break
-                _check_bandwidth(q, edges[-1])
-                push(_EVAN, edges[:-1], edges[1:])
-                s_max = float(edges[-1])
+                _check_bandwidth(q, s[-1])
+                push(-s[1:], -s[:-1])
+                s_max = float(s[-1])
                 tail = _tail_bound(g, q, k0, s_max, count)
                 continue
             if -heap[0][0] <= 1e-16 * abs(total):
@@ -702,18 +701,17 @@ def oracle_eval(
             while heap and len(split) < room and covered < excess and -heap[0][0] >= 0.25 * worst:
                 split.append(heapq.heappop(heap))
                 covered -= split[-1][0]
-            for leg in (_PROP, _EVAN):
-                lo, hi = np.array([e[2:4] for e in split if e[1] == leg]).reshape(-1, 2).T
-                mid = 0.5 * (lo + hi)
-                push(leg, np.concatenate((lo, mid)), np.concatenate((mid, hi)))
+            lo, hi = np.array([e[1:3] for e in split]).T
+            mid = 0.5 * (lo + hi)
+            push(np.concatenate((lo, mid)), np.concatenate((mid, hi)))
     except _RingCapped as cap:
         err, limit = math.inf, str(cap)
 
-    prop, evan = k0 * (k0 * values[_PROP]), k0 * (k0 * values[_EVAN])  # dkx*dky
+    prop, evan = k0 * (k0 * values[0]), k0 * (k0 * values[1])  # dkx*dky
     if not cmath.isfinite(prop + evan):
         raise DomainError(f"oracle value overflows at k0 = {k0:g}, r = {p.r:g}")
     # a nonzero value scaled below the smallest normal float keeps too few bits
-    if abs(prop + evan) < sys.float_info.min and values[_PROP] + values[_EVAN]:
+    if abs(prop + evan) < sys.float_info.min and values[0] + values[1]:
         raise DomainError(f"oracle value underflows at k0 = {k0:g}, r = {p.r:g}")
     return OracleResult(
         value=prop + evan,

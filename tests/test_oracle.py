@@ -433,7 +433,7 @@ class TestAzimuthalPaths:
         assert max(radial) > _BLOCK_ELEMENTS // 2
 
     def test_panels_are_evaluated_in_batches(self):
-        # the constant spectrum at k0r = 20, theta = 0.3*theta0: a leg's
+        # the constant spectrum at k0r = 20, theta = 0.3*theta0: both legs'
         # initial panels (8 and 28, of about 11.1 rad of phase each), each
         # tail extension (here one, of 4 panels) and each round of splits
         # take one spectrum call, with 21 rows a panel, beside the 64
@@ -631,7 +631,7 @@ class TestBesselOrders:
         assert values[0, 0] == 1.0 and not values[1:, 0].any()
         assert np.max(np.abs(values - jv(np.arange(65)[:, None], x))) <= 2e-16
 
-    def test_miller_rescales_rather_than_overflow(self):
+    def test_high_orders_stay_finite_where_a_downward_recurrence_overflows(self):
         # from order 2000 down to x = 1 a downward recurrence would grow by
         # ~1e5700; Bessel's integral on 8192 nodes keeps every order finite
         # and the low orders exact
@@ -924,15 +924,34 @@ class TestUnitsOfK0:
         assert oracle_eval(weyl(), ObservationPoint(0, 0, 20 / k0), k0).converged
 
 
-def leg_integrands(f, p, count):
-    """oracle_eval's two leg integrands at k0 = 1, in kz and in s, each with
-    edges of panels on it."""
-    from asx.oracle import _EVAN, _PROP, _leg_integrand
+# l = 2 multipoles i/(2*pi*kz)*Y with Y a harmonic polynomial of degree 2 in
+# (kx, ky, kz)/k0: the first is radial, the other two take the ring path
+QUADRUPOLES = [
+    "i*(3*kz^2-1)/2/(2*pi*kz)",
+    "i*kx*ky/(2*pi*kz)",
+    "i*(kx^2-ky^2)/(2*pi*kz)",
+]
 
-    prop, evan = (
-        functools.partial(_leg_integrand, f, p, 1.0, 1e-7, count, leg) for leg in (_PROP, _EVAN)
-    )
-    return (prop, np.linspace(0.0, 1.0, 41)), (evan, np.linspace(0.0, 12.0, 61))
+
+class TestMultipoles:
+    """f = i/(2*pi*kz)*Y, Y harmonic and homogeneous of degree l, integrates
+    to Y(r_hat) times a spherical Hankel function, so the exact value is the
+    leading order times sum_n i^n*(l + n)!/(n!*(l - n)!*(2*k0r)^n)."""
+
+    @pytest.mark.parametrize("rel_tol", [1e-7, 1e-10])
+    @pytest.mark.parametrize("k0r, theta", [(20, 0.7), (100, 0.5), (50, 0.3), (300, 0.05)])
+    @pytest.mark.parametrize("spectrum", QUADRUPOLES, ids=["radial", "kx*ky", "kx^2-ky^2"])
+    def test_quadrupoles_are_exact_within_their_estimate(self, spectrum, k0r, theta, rel_tol):
+        # l = 2: leading*(1 + 3i/k0r - 3/k0r^2); every spectrum call of these
+        # runs carries rows of both legs
+        from asx import leading_order, parse_spectrum, point_from_parameters
+
+        f = parse_spectrum(spectrum)
+        p = point_from_parameters(theta, k0r, 1.0, 0.4)
+        res = oracle_eval(f, p, 1.0, QuadratureConfig(rel_tol=rel_tol))
+        exact = leading_order(f, p, 1.0).value * (1 + 3j / k0r - 3 / k0r**2)
+        assert res.converged
+        assert abs(res.value - exact) <= res.est_error
 
 
 class TestPanelBatches:
@@ -940,16 +959,23 @@ class TestPanelBatches:
 
     @staticmethod
     def batched_and_alone(f, p, pick=slice(None)):
-        """Per leg: the picked panels in one call, one call per panel, and
-        the largest |value| of all the leg's panels."""
-        from asx.oracle import _Counter, _panels
+        """Per leg of oracle_eval's contour variable t (kz in [0, 1], then
+        -s in [-12, 0]): the leg's picked panels out of one call that holds
+        both legs' picked panels, one call per panel, and the largest
+        |value| of all the leg's panels."""
+        from asx.oracle import _Counter, _integrand, _panels
 
-        count = _Counter()
-        for h, edges in leg_integrands(f, p, count):
-            lo, hi = edges[:-1][pick], edges[1:][pick]
-            alone = [_panels(h, lo[i : i + 1], hi[i : i + 1]) for i in range(lo.size)]
-            scale = np.max(np.abs(_panels(h, edges[:-1], edges[1:])[0]))
-            yield _panels(h, lo, hi), [np.concatenate(parts) for parts in zip(*alone)], scale
+        h = functools.partial(_integrand, f, p, 1.0, 1e-7, _Counter())
+        legs = [(e[:-1], e[1:]) for e in (np.linspace(0.0, 1.0, 41), np.linspace(-12.0, 0.0, 61))]
+        picked = [(lo[pick], hi[pick]) for lo, hi in legs]
+        values, errors = _panels(h, *(np.concatenate(edges) for edges in zip(*picked)))
+        start = 0
+        for (lo, hi), (a, b) in zip(legs, picked):
+            alone = [_panels(h, a[i : i + 1], b[i : i + 1]) for i in range(a.size)]
+            scale = np.max(np.abs(_panels(h, lo, hi)[0]))
+            part = slice(start, start + a.size)
+            start += a.size
+            yield (values[part], errors[part]), [np.concatenate(x) for x in zip(*alone)], scale
 
     def test_on_axis_radial_panels_are_bit_identical(self):
         # on axis a radial spectrum takes no Bessel call, so each element is
@@ -982,9 +1008,10 @@ class TestPanelBatches:
         ids=["axis", "off-axis", "ring"],
     )
     def test_disjoint_panels_share_a_call(self, spectrum, point):
-        # a round hands _panels the halves of panels from anywhere on a leg:
-        # here every third panel from the right, neither adjacent nor in
-        # order; bit-identical on axis, else to the leg's rounding as above
+        # a round hands _panels the halves of panels from anywhere on the
+        # contour, both legs in one call: here every third panel of each leg
+        # from the right, neither adjacent nor in order; bit-identical on
+        # axis, else to the leg's rounding as above
         from asx import parse_spectrum
 
         f = weyl() if spectrum == "weyl" else parse_spectrum(spectrum)
@@ -999,7 +1026,24 @@ class TestPanelBatches:
 
 
 class TestRefinementRounds:
-    """A round splits the worst panels together, one spectrum call a leg."""
+    """A round splits the worst panels together, both legs' in one spectrum
+    call."""
+
+    def test_both_legs_share_one_call(self):
+        # weyl at (3, 4, 5) converges on its 8 + 8 initial panels: one call
+        # of 16*21 rows, then the 8 x 8 tail probe
+        sizes = []
+
+        def recording(kx, ky, kz, k0):
+            sizes.append(np.size(kx))
+            return weyl().evaluate(kx, ky, kz, k0)
+
+        probe = SpectrumFunction(label="probe", radial=True, _fn=recording)
+        p = ObservationPoint(3, 4, 5)
+        res = oracle_eval(probe, p, 1.0)
+        assert res.converged
+        assert abs(res.value - spherical_wave(p)) <= res.est_error
+        assert sizes == [336, 64]
 
     def test_grazing_weyl_converges_in_few_spectrum_calls(self):
         # the G10 estimate asks for many splits near grazing; one split a
@@ -1080,8 +1124,11 @@ class TestInitialPanels:
         k0 = 2.0
         p = ObservationPoint(30.0, 20.0, 40.0)  # k0r = 2*sqrt(2900), about 107.7
         oracle_eval(weyl(), p, k0, QuadratureConfig(rel_tol=rel_tol))
-        # the panels' edges are kz in units of k0: from exactly 0 to exactly 1
+        # the first call holds both legs' initial panels; the propagating
+        # leg's (lo >= 0) edges are t = kz in units of k0: from exactly 0 to
+        # exactly 1
         lo, hi = first[0]
+        lo, hi = lo[lo >= 0.0], hi[lo >= 0.0]
         n = math.ceil(k0 * p.r * (math.pi / 2) / _phase_span(rel_tol))
         assert n > 8 and lo.size == n
         assert lo[0] == 0.0 and hi[-1] == 1.0
@@ -1160,6 +1207,28 @@ class TestDivergenceDetection:
         grower = parse_spectrum("exp(kx^2+ky^2)")
         with pytest.raises(DivergenceError):
             oracle_eval(grower, ObservationPoint(0, 0, 5), 1.0)
+
+    def test_a_double_pole_on_the_propagating_leg_raises(self):
+        # 1/(k_rho^2 - 1/4)^2 is not integrable across k_rho = 1/2 (kz =
+        # sqrt(3)/2): the panels around it grow without bound as they split
+        from asx import DivergenceError, parse_spectrum
+
+        with pytest.raises(DivergenceError):
+            oracle_eval(parse_spectrum("1/(kx^2+ky^2-0.25)^2"), ObservationPoint(0, 0, 5), 1.0)
+
+    def test_a_steep_polynomial_in_kz_converges(self):
+        # on axis the evanescent leg of kz^n is 2*pi*int s*(i*s)^n*exp(-s*z)
+        # ds = 2*pi*i^n*(n + 1)!/z^(n + 2), and the propagating leg adds at
+        # most 2*pi/(n + 2); the integrand peaks at s = n + 1, beyond the
+        # first cutoff (9.2 at rel_tol 1e-2), and its growth up to there is
+        # no divergence
+        from asx import parse_spectrum
+
+        res = oracle_eval(
+            parse_spectrum("kz^20"), ObservationPoint(0, 0, 1), 1.0, QuadratureConfig(rel_tol=1e-2)
+        )
+        assert res.converged
+        assert abs(res.value - 2 * math.pi * math.factorial(21)) <= res.est_error
 
 
 class TestBranchConsistency:
