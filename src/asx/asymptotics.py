@@ -24,7 +24,9 @@ across the boundary can be charted.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -153,6 +155,29 @@ def leading_order(
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _sdp_window(p: ObservationPoint, k0: float, n: int):
+    """The local steepest-descent window of ``p`` at ``k0`` with ``n`` nodes
+    per axis: the saddle, the scaled Gauss-Legendre weights ``wi`` and the
+    read-only path ``kx`` (n x 1), ``ky`` (1 x n), ``kz`` and carrier
+    ``exp(i*k0*r*U)`` (n x n).
+
+    None of it depends on the spectrum, so consecutive calls at one point
+    share it; the cache keeps the last window only (O(n^2) complex, about
+    130 KB at n = 64).
+    """
+    s = saddle_point(p, k0)
+    half_width = local_half_width(s.k0r)
+    t, w = _leggauss(n)
+    wi = half_width * w
+    xi = half_width * t
+    u, kx, ky, kz = _phase_grid(s, p, xi[:, None], xi[None, :])
+    carrier = np.exp(1j * s.k0r * u)
+    for a in (wi, kx, ky, kz, carrier):
+        a.flags.writeable = False
+    return s, wi, kx, ky, kz, carrier
+
+
 def local_sdp_integral(
     f: SpectrumFunction, p: ObservationPoint, k0: float, n: int = 64
 ) -> complex:
@@ -165,18 +190,37 @@ def local_sdp_integral(
     then applies the carrier ``exp(i*k0*r)`` and the path measure
     ``J = kzs^2*(1-i)^2``, one ``kzs`` at a time (``kzs^2`` can underflow).
 
+    The window (nodes, path and ``exp(i*k0*r*U)``) depends on ``(p, k0, n)``
+    only, never on ``f``: the last one is kept, so consecutive spectra at one
+    point pay for it once.  Results never depend on call order.  ``n`` must
+    be an integer of at least 16 (:class:`~asx.errors.ConfigError`).  A value
+    that is not finite, or one below the smallest normal float while the
+    integrand is not all zero, is a :class:`~asx.errors.DomainError`, as in
+    :func:`leading_order`.
+
     This is the mid-level verification between the brute-force oracle and
     :func:`leading_order`: it shares the window with the closed form but
     keeps phase and spectrum exact.
     """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ConfigError(f"need an integer number of quadrature nodes per axis, got {n!r}") from None
     if n < 16:
         raise ConfigError(f"need n >= 16 quadrature nodes per axis, got {n}")
-    s = saddle_point(p, k0)
-    half_width = local_half_width(s.k0r)
-    t, w = _leggauss(n)
-    xi = half_width * t
-    wi = half_width * w
-    u, kx, ky, kz = _phase_grid(s, p, xi[:, None], xi[None, :])
-    integrand = f.evaluate(kx, ky, kz, k0) * np.exp(1j * s.k0r * u)
-    carried = (1.0 - 1.0j) ** 2 * np.exp(1j * s.k0r) * np.einsum("i,j,ij->", wi, wi, integrand)
-    return complex(s.kzs * (s.kzs * carried))
+    with np.errstate(all="ignore"):
+        s, wi, kx, ky, kz, carrier = _sdp_window(p, k0, n)
+        integrand = f.evaluate(kx, ky, kz, k0) * carrier
+        carried = (1.0 - 1.0j) ** 2 * np.exp(1j * s.k0r) * np.einsum("i,j,ij->", wi, wi, integrand)
+        value = complex(s.kzs * (s.kzs * carried))
+    # as in leading_order: too few bits are left below the smallest normal
+    # float, unless the integrand is exactly 0 (hypot, unlike abs, does not
+    # raise where |value| exceeds the largest float)
+    underflow = math.hypot(value.real, value.imag) < sys.float_info.min and integrand.any()
+    if underflow or not cmath.isfinite(value):
+        word = "underflows" if underflow else "is not finite"
+        raise DomainError(
+            f"local SDP integral {word} at k0 = {k0:g}, r = {p.r:g}: the point "
+            "is outside the floating-point range of the window"
+        )
+    return value

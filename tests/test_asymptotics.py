@@ -20,6 +20,8 @@ from asx import (
     saddle_point,
     weyl,
 )
+from asx import asymptotics
+from asx.asymptotics import _sdp_window
 from asx.spectra import SpectrumFunction
 
 
@@ -261,6 +263,27 @@ class TestLocalSdpIntegral:
         with pytest.raises(ConfigError):
             local_sdp_integral(weyl(), ObservationPoint(0, 0, 50), 1.0, n=8)
 
+    @pytest.mark.parametrize("n", [64.0, 20.5, "64", None])
+    def test_rejects_a_node_count_that_is_not_an_integer(self, n):
+        # before the window cache: 64.0 would otherwise hit the window of 64
+        # after a call with 64, and fail before one
+        with pytest.raises(ConfigError):
+            local_sdp_integral(weyl(), ObservationPoint(0, 0, 50), 1.0, n=n)
+
+    def test_accepts_a_numpy_integer_node_count(self):
+        p = ObservationPoint(3, 4, 5)
+        value = local_sdp_integral(weyl(), p, 1.0, n=np.int64(64))
+        assert repr(value) == repr(local_sdp_integral(weyl(), p, 1.0, n=64))
+
+    @pytest.mark.parametrize("k0", [1e-300, 1e300])
+    def test_a_value_out_of_range_is_a_domain_error(self, k0):
+        # leading_order answers at both; the window's value is not finite
+        # at 1e-300 and underflows at 1e300
+        p = ObservationPoint(3, 4, 5)
+        leading_order(weyl(), p, k0)
+        with pytest.raises(DomainError):
+            local_sdp_integral(weyl(), p, k0)
+
     def test_parsed_spectrum_matches_builtin(self):
         p = ObservationPoint(10, 5, 40)
         built = local_sdp_integral(gaussian(1.0), p, 1.0, n=48)
@@ -268,6 +291,81 @@ class TestLocalSdpIntegral:
             parse_spectrum("exp(-(kx^2+ky^2)/4)"), p, 1.0, n=48
         )
         assert_allclose(parsed, built, rtol=1e-13)
+
+
+def fresh_sdp_integral(f, p, k0, n=64):
+    """local_sdp_integral with its window built anew."""
+    _sdp_window.cache_clear()
+    return local_sdp_integral(f, p, k0, n)
+
+
+class TestSdpWindow:
+    """The last window is kept: its reuse must never show in a result."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_cache(self):
+        _sdp_window.cache_clear()
+        yield
+        _sdp_window.cache_clear()
+
+    def test_results_do_not_depend_on_call_order(self):
+        a, b = ObservationPoint(3, 4, 5), ObservationPoint(-20, 7, 30)
+        f1, f2 = weyl(), parse_spectrum("i*kx*ky/(2*pi*kz)")
+        calls = [(a, f1), (b, f1), (a, f2), (a, f1), (b, f2), (b, f1), (a, f2)]
+        got = [repr(local_sdp_integral(f, p, 1.0)) for p, f in calls]
+        want = [repr(fresh_sdp_integral(f, p, 1.0)) for p, f in calls]
+        assert got == want
+        # and in reverse order
+        got = [repr(local_sdp_integral(f, p, 1.0)) for p, f in reversed(calls)]
+        assert got == want[::-1]
+
+    @pytest.mark.parametrize("xyz", [(0.0, 0.0, 5.0), (3.0, 0.0, 4.0)])
+    def test_signed_zeros_share_a_window_safely(self, xyz):
+        # ObservationPoint(-0.0, ...) == ObservationPoint(0.0, ...), so the
+        # window of one serves the other; odd n puts a node on the saddle
+        x, y, z = xyz
+        signs = [(sx, sy) for sx in (1.0, -1.0) for sy in (1.0, -1.0)]
+        points = [ObservationPoint(math.copysign(x, sx), math.copysign(y, sy), z) for sx, sy in signs]
+        for f in (weyl(), gaussian(2.0), parse_spectrum("i*kx*ky/(2*pi*kz) + sqrt(kx + 2)")):
+            got = [repr(local_sdp_integral(f, p, 1.0, n=17)) for p in points]
+            want = [repr(fresh_sdp_integral(f, p, 1.0, n=17)) for p in points]
+            assert got == want
+
+    def test_a_numpy_integer_node_count_shares_the_window(self):
+        p = ObservationPoint(3, 4, 5)
+        local_sdp_integral(weyl(), p, 1.0, n=64)
+        got = local_sdp_integral(constant(), p, 1.0, n=np.int64(64))
+        assert repr(got) == repr(fresh_sdp_integral(constant(), p, 1.0, n=np.int64(64)))
+
+    def test_consecutive_spectra_at_one_point_build_one_window(self, monkeypatch):
+        calls = []
+
+        def counting(p, k0):
+            calls.append(p)
+            return saddle_point(p, k0)
+
+        monkeypatch.setattr(asymptotics, "saddle_point", counting)
+        a, b = ObservationPoint(3, 4, 5), ObservationPoint(0, 0, 50)
+        spectra = [weyl(), constant(), gaussian(2.0), parse_spectrum("exp(-(kx^2+ky^2))")]
+        for f in spectra:
+            local_sdp_integral(f, a, 1.0)
+        assert calls == [a]
+        local_sdp_integral(weyl(), b, 1.0)
+        local_sdp_integral(weyl(), a, 1.0)  # one window is kept, not two
+        local_sdp_integral(weyl(), a, 1.0, n=32)
+        assert calls == [a, b, a, a]
+
+    def test_the_window_is_read_only(self):
+        def scribble(kx, ky, kz, k0):
+            kz[...] = 1.0
+            return 1j / (2.0 * np.pi * kz)
+
+        vandal = SpectrumFunction(label="vandal", radial=True, _fn=scribble)
+        p = ObservationPoint(3, 4, 5)
+        before = repr(local_sdp_integral(weyl(), p, 1.0))
+        with pytest.raises(ValueError, match="read-only"):
+            local_sdp_integral(vandal, p, 1.0)
+        assert repr(local_sdp_integral(weyl(), p, 1.0)) == before
 
 
 class TestShiftedSpectra:
