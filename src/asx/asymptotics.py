@@ -171,8 +171,8 @@ def _sdp_window(p: ObservationPoint, k0: float, n: int):
     t, w = _leggauss(n)
     wi = half_width * w
     xi = half_width * t
-    u, kx, ky, kz = _phase_grid(s, p, xi[:, None], xi[None, :])
-    carrier = np.exp(1j * s.k0r * u)
+    phase, kx, ky, kz = _phase_grid(s, p, xi[:, None], xi[None, :])
+    carrier = np.exp(1j * phase)
     for a in (wi, kx, ky, kz, carrier):
         a.flags.writeable = False
     return s, wi, kx, ky, kz, carrier

@@ -9,7 +9,9 @@ Everything downstream builds on four ingredients defined here:
 * the local steepest-descent parametrization
   ``kx = kxs + kzs*(1-i)*xi``, ``ky = kys + kzs*(1-i)*eta``,
 * the normalized phase ``U(xi, eta) = (kx*x + ky*y + kz*z)/(k0*r) - 1``,
-  which vanishes together with its gradient at the saddle.
+  which vanishes together with its gradient at the saddle; ``k0*r*U`` is
+  formed from terms that are each second order in the window, so it carries
+  no cancellation at any ``k0*r``.
 
 The branch choice lives here and only here; other modules consume ``kz``
 values instead of recomputing square roots.
@@ -166,12 +168,31 @@ def _sdp_grid(s: SaddleData, xi, eta):
 
 
 def _phase_grid(s: SaddleData, p: ObservationPoint, xi, eta):
-    """Normalized on-path phase ``U = (kx*x + ky*y + kz*z)/(k0*r) - 1`` with
+    """On-path phase ``k0*r*U``, ``U = (kx*x + ky*y + kz*z)/(k0*r) - 1``, with
     the (kx, ky, kz) it was computed from, over broadcast (xi, eta).
 
-    ``U(0, 0) = 0`` up to rounding and the first derivatives vanish at the
-    origin.  Intended for the local domain ``|xi|, |eta| <= local_half_width``.
+    U vanishes with its gradient at the saddle, so that sum would cancel and
+    leave about k0*r ulps of rounding in the phase.  With ``d = (k -
+    k_saddle)/k0`` and ``q = k0*p``, the sphere ``|k| = k0`` gives
+
+        k0*r*U = [(dx*qx + dy*qy)*dz - qz*(dx^2 + dy^2)] / den,
+        dz = -(dx*(2*kxs/k0 + dx) + dy*(2*kys/k0 + dy)) / den,
+
+    with ``den = (kz + kzs)/k0``: every term is second order in the window,
+    and ``Re(den) > 0`` on the principal branch.  Intended for the local
+    domain ``|xi|, |eta| <= local_half_width``.
     """
     kx, ky, kz = _sdp_grid(s, xi, eta)
-    u = (kx * p.x + ky * p.y + kz * p.z) / (s.k0 * p.r) - 1.0
-    return u, kx, ky, kz
+    k0 = s.k0
+    slope = s.kzs / k0 * (1.0 - 1.0j)
+    dx, dy = slope * np.asarray(xi), slope * np.asarray(eta)
+    inv = k0 / (kz + s.kzs)  # 1/den
+    # in place on the full-grid arrays, which saves their temporaries
+    dz = dx * (-2.0 * s.kxs / k0 - dx) - dy * (2.0 * s.kys / k0 + dy)
+    dz *= inv
+    phase = dx * (k0 * p.x) + dy * (k0 * p.y)
+    phase *= dz
+    qz = k0 * p.z
+    phase -= qz * dx * dx + qz * dy * dy
+    phase *= inv
+    return phase, kx, ky, kz

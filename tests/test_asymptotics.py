@@ -284,6 +284,39 @@ class TestLocalSdpIntegral:
         with pytest.raises(DomainError):
             local_sdp_integral(weyl(), p, k0)
 
+    @pytest.mark.parametrize("k0r", [1e4, 1e10, 1e14, 1e50, 1e250])
+    def test_weyl_holds_its_window_floor_at_any_k0r(self, k0r):
+        # the leading order is exact for weyl, so what is left is the
+        # window's truncation, 6.26e-10 at theta = 0.7; a phase summed to
+        # U = ... - 1 carried k0r ulps (4.3e-8 at 1e10) and overflowed
+        from asx import point_from_parameters
+
+        p = point_from_parameters(0.7, k0r, 1.0, 0.4)
+        lo = leading_order(weyl(), p, 1.0).value
+        assert abs(local_sdp_integral(weyl(), p, 1.0) - lo) / abs(lo) < 1e-9
+
+    @pytest.mark.parametrize("k0r", [1e2, 1e4, 1e6, 1e8])
+    @pytest.mark.parametrize(
+        "src, c1, c2",
+        [
+            ("i*(3*kz^2-1)/(4*pi*kz)", 3j, -3.0),
+            ("i*kx*ky/(2*pi*kz)", 3j, -3.0),
+            ("i*kx/(2*pi*kz)", 1j, 0.0),
+        ],
+    )
+    def test_multipoles_approach_their_first_correction(self, src, c1, c2, k0r):
+        # f = i/(2*pi*kz)*Y with Y harmonic of degree l: the exact value is
+        # leading_order*(1 + c1/k0r + c2/k0r^2 + ...), c1 = i*l*(l+1)/2,
+        # c2 = -(l-1)*l*(l+1)*(l+2)/8; the window keeps phase and spectrum
+        # exact, so k0r*(lsi/lo - 1) tends to c1
+        from asx import point_from_parameters
+
+        f = parse_spectrum(src)
+        p = point_from_parameters(0.9, k0r, 1.0, 0.4)
+        lsi = local_sdp_integral(f, p, 1.0)
+        lo = leading_order(f, p, 1.0).value
+        assert abs(k0r * (lsi / lo - 1.0) - c1) <= 1.5 * abs(c2) / k0r + 1e-5
+
     def test_parsed_spectrum_matches_builtin(self):
         p = ObservationPoint(10, 5, 40)
         built = local_sdp_integral(gaussian(1.0), p, 1.0, n=48)

@@ -193,8 +193,8 @@ class TestSdpMap:
 
 
 def phase(s, p, xi, eta) -> complex:
-    """The on-path phase U at one (xi, eta), from ``_phase_grid``."""
-    return complex(_phase_grid(s, p, xi, eta)[0])
+    """The on-path phase U at one (xi, eta), from ``_phase_grid``'s k0*r*U."""
+    return complex(_phase_grid(s, p, xi, eta)[0]) / s.k0r
 
 
 class TestPhaseU:
