@@ -192,7 +192,9 @@ def local_sdp_integral(
 
     The window (nodes, path and ``exp(i*k0*r*U)``) depends on ``(p, k0, n)``
     only, never on ``f``: the last one is kept, so consecutive spectra at one
-    point pay for it once.  Results never depend on call order.  ``n`` must
+    point pay for it once.  Results never depend on call order.  The phase
+    ``k0*r*U`` is formed from terms that are each second order in the window,
+    so it carries no ``k0*r`` ulps of cancellation at any ``k0*r``.  ``n`` must
     be an integer of at least 16 (:class:`~asx.errors.ConfigError`).  A value
     that is not finite, or one below the smallest normal float while the
     integrand is not all zero, is a :class:`~asx.errors.DomainError`, as in
@@ -209,7 +211,10 @@ def local_sdp_integral(
     if n < 16:
         raise ConfigError(f"need n >= 16 quadrature nodes per axis, got {n}")
     with np.errstate(all="ignore"):
-        s, wi, kx, ky, kz, carrier = _sdp_window(p, k0, n)
+        # float(k0) hashes where a 0-d array would not and keeps k0's bits;
+        # the check comes first so that what float() would convert, such as
+        # a string, is refused as saddle_point refuses it
+        s, wi, kx, ky, kz, carrier = _sdp_window(p, float(require_positive("k0", k0)), n)
         integrand = f.evaluate(kx, ky, kz, k0) * carrier
         carried = (1.0 - 1.0j) ** 2 * np.exp(1j * s.k0r) * np.einsum("i,j,ij->", wi, wi, integrand)
         value = complex(s.kzs * (s.kzs * carried))

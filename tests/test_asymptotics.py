@@ -270,11 +270,6 @@ class TestLocalSdpIntegral:
         with pytest.raises(ConfigError):
             local_sdp_integral(weyl(), ObservationPoint(0, 0, 50), 1.0, n=n)
 
-    def test_accepts_a_numpy_integer_node_count(self):
-        p = ObservationPoint(3, 4, 5)
-        value = local_sdp_integral(weyl(), p, 1.0, n=np.int64(64))
-        assert repr(value) == repr(local_sdp_integral(weyl(), p, 1.0, n=64))
-
     @pytest.mark.parametrize("k0", [1e-300, 1e300])
     def test_a_value_out_of_range_is_a_domain_error(self, k0):
         # leading_order answers at both; the window's value is not finite
@@ -369,6 +364,15 @@ class TestSdpWindow:
         local_sdp_integral(weyl(), p, 1.0, n=64)
         got = local_sdp_integral(constant(), p, 1.0, n=np.int64(64))
         assert repr(got) == repr(fresh_sdp_integral(constant(), p, 1.0, n=np.int64(64)))
+
+    def test_equal_wavenumbers_of_any_type_share_the_window(self):
+        p = ObservationPoint(3, 4, 5)
+        want = repr(fresh_sdp_integral(weyl(), p, 1.0))
+        for k0 in (1, np.float64(1.0), np.array(1.0), 1.0):
+            assert repr(local_sdp_integral(weyl(), p, k0)) == want
+            assert repr(fresh_sdp_integral(weyl(), p, k0)) == want
+        with pytest.raises(TypeError):
+            local_sdp_integral(weyl(), p, "1")
 
     def test_consecutive_spectra_at_one_point_build_one_window(self, monkeypatch):
         calls = []
